@@ -2,7 +2,7 @@
 // Internet-Archive-style movie database (the paper's running example),
 // creates a text index over the movie descriptions, and serves the JSON API
 // of internal/server until SIGINT/SIGTERM triggers a graceful shutdown —
-// in-flight requests drain, then the engine closes with its pin audit.
+// in-flight requests drain, then the engines close with their pin audit.
 //
 // Usage:
 //
@@ -16,18 +16,20 @@
 //	     localhost:8080/v1/batch
 //	curl localhost:8080/v1/stats
 //
-// Sharded serving.  The same binary runs three more shapes:
+// Sharded serving.  The daemon is always the same front end, a router over
+// shard backends; one in-process engine is the default.  It runs three more
+// shapes:
 //
-//	svrserve -addr :8080 -router -shards 4        # router over 4 in-process shards
+//	svrserve -addr :8080 -shards 4                       # 4 in-process shards
 //
 //	svrserve -addr :8081 -shard-index 0 -shard-count 2   # shard server 0
 //	svrserve -addr :8082 -shard-index 1 -shard-count 2   # shard server 1
-//	svrserve -addr :8080 -router \
+//	svrserve -addr :8080 \
 //	    -backends http://127.0.0.1:8081,http://127.0.0.1:8082 -hedge 50ms
 //
 // A shard server builds only its partition of the dataset (the generator's
 // random stream is shared, so the shards exactly partition the single-node
-// dataset); the router scatter-gathers searches across shards — with
+// dataset); over several shards the router scatter-gathers searches — with
 // cluster-global IDF, so ranking is identical to a single node — and routes
 // writes to the owning shard.  A dead shard degrades searches to partial
 // results instead of failing them.
@@ -60,12 +62,11 @@ func main() {
 		poolPages = flag.Int("pool", 16384, "buffer pool capacity in pages")
 		seed      = flag.Int64("seed", 11, "random seed for the example dataset")
 		drainWait = flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight requests")
-		dataPath  = flag.String("data", "", "durable data file; empty serves from memory.  A fresh file is built once, an existing file is recovered and served without rebuilding.  In -router mode with in-process shards, each shard appends .shard-N")
+		dataPath  = flag.String("data", "", "durable data file; empty serves from memory.  A fresh file is built once, an existing file is recovered and served without rebuilding.  With several in-process shards, each shard appends .shard-N")
 
-		router      = flag.Bool("router", false, "serve as a shard router instead of a single engine")
-		shards      = flag.Int("shards", 2, "with -router and no -backends: number of in-process shards")
-		backendsCSV = flag.String("backends", "", "with -router: comma-separated shard server URLs (e.g. http://127.0.0.1:8081,http://127.0.0.1:8082); empty runs in-process shards")
-		hedge       = flag.Duration("hedge", 0, "with -router over HTTP backends: issue a hedge search request after this latency (0 disables)")
+		shards      = flag.Int("shards", 1, "without -backends: number of in-process shard engines")
+		backendsCSV = flag.String("backends", "", "comma-separated shard server URLs to route across (e.g. http://127.0.0.1:8081,http://127.0.0.1:8082); empty serves in-process engines")
+		hedge       = flag.Duration("hedge", 0, "with -backends: issue a hedge search request after this latency (0 disables)")
 		partitioner = flag.String("partitioner", "", "partitioner routing rows to shards (default hash); must match across router and shard servers")
 
 		shardIndex = flag.Int("shard-index", -1, "serve as shard N of -shard-count: build and serve only this shard's slice of the dataset")
@@ -81,7 +82,6 @@ func main() {
 		seed:        *seed,
 		drainWait:   *drainWait,
 		dataPath:    *dataPath,
-		router:      *router,
 		shards:      *shards,
 		backends:    *backendsCSV,
 		hedge:       *hedge,
@@ -104,7 +104,6 @@ type config struct {
 	drainWait time.Duration
 	dataPath  string
 
-	router      bool
 	shards      int
 	backends    string
 	hedge       time.Duration
@@ -197,48 +196,18 @@ func newEngine(cfg config, dataPath string, keep func(int64) bool) (*core.Engine
 	return engine, nil
 }
 
-// daemon is what the serve loop needs from either frontend; *server.Server
-// and *server.Router both satisfy it.
-type daemon interface {
-	Start(addr string) (string, error)
-	Done() <-chan struct{}
-	ServeErr() error
-	Shutdown(ctx context.Context) error
-}
-
-// newSingleServer builds the classic single-engine server, optionally
-// restricted to one shard's slice (-shard-index/-shard-count).
-func newSingleServer(cfg config) (daemon, error) {
-	var keep func(int64) bool
-	if cfg.shardIndex >= 0 {
-		if cfg.shardCount < 1 || cfg.shardIndex >= cfg.shardCount {
-			return nil, fmt.Errorf("-shard-index %d requires -shard-count > %d", cfg.shardIndex, cfg.shardIndex)
-		}
-		var err error
-		keep, err = shardKeep(cfg.partitioner, cfg.shardIndex, cfg.shardCount)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("serving shard %d of %d\n", cfg.shardIndex, cfg.shardCount)
-	}
-	engine, err := newEngine(cfg, cfg.dataPath, keep)
-	if err != nil {
-		return nil, err
-	}
-	ti, err := engine.TextIndex("movies_desc")
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("index ready (method=%s, long lists %.2f MB)\n",
-		ti.Stats().Method, float64(ti.Stats().LongListBytes)/(1024*1024))
-	return server.New(engine, server.Options{ReadTimeout: 30 * time.Second}), nil
-}
-
-// newRouterServer builds the router frontend: over remote shard servers when
-// -backends is given, over in-process shard engines otherwise.
-func newRouterServer(cfg config) (daemon, error) {
+// newDaemon builds the front end: a router over remote shard servers when
+// -backends is given, otherwise over in-process engines — one per -shards,
+// or the single slice -shard-index names.
+func newDaemon(cfg config) (*server.Router, error) {
 	var backends []server.Backend
-	if cfg.backends != "" {
+	closeAll := func() {
+		for _, b := range backends {
+			b.Close()
+		}
+	}
+	switch {
+	case cfg.backends != "":
 		for _, u := range strings.Split(cfg.backends, ",") {
 			u = strings.TrimSpace(u)
 			if u == "" {
@@ -250,47 +219,59 @@ func newRouterServer(cfg config) (daemon, error) {
 			return nil, fmt.Errorf("-backends parsed to zero URLs")
 		}
 		fmt.Printf("routing across %d shard servers (hedge %s)\n", len(backends), cfg.hedge)
-	} else {
+	case cfg.shardIndex >= 0:
+		if cfg.shardCount < 1 || cfg.shardIndex >= cfg.shardCount {
+			return nil, fmt.Errorf("-shard-index %d requires -shard-count > %d", cfg.shardIndex, cfg.shardIndex)
+		}
+		keep, err := shardKeep(cfg.partitioner, cfg.shardIndex, cfg.shardCount)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("serving shard %d of %d\n", cfg.shardIndex, cfg.shardCount)
+		engine, err := newEngine(cfg, cfg.dataPath, keep)
+		if err != nil {
+			return nil, err
+		}
+		backends = append(backends, server.NewEngineBackend(fmt.Sprintf("shard-%d", cfg.shardIndex), engine, true))
+	default:
 		if cfg.shards < 1 {
 			return nil, fmt.Errorf("-shards must be at least 1")
 		}
 		for i := 0; i < cfg.shards; i++ {
 			keep, err := shardKeep(cfg.partitioner, i, cfg.shards)
 			if err != nil {
+				closeAll()
 				return nil, err
 			}
 			dataPath := cfg.dataPath
-			if dataPath != "" {
+			if dataPath != "" && cfg.shards > 1 {
 				dataPath = fmt.Sprintf("%s.shard-%d", dataPath, i)
 			}
 			engine, err := newEngine(cfg, dataPath, keep)
 			if err != nil {
-				for _, b := range backends {
-					b.Close()
-				}
+				closeAll()
 				return nil, err
 			}
 			backends = append(backends, server.NewEngineBackend(fmt.Sprintf("shard-%d", i), engine, true))
 		}
-		fmt.Printf("routing across %d in-process shards\n", len(backends))
+		if cfg.shards > 1 {
+			fmt.Printf("routing across %d in-process shards\n", len(backends))
+		}
 	}
-	return server.NewRouter(backends, server.RouterOptions{
+	rt, err := server.NewRouter(backends, server.RouterOptions{
 		ReadTimeout:    30 * time.Second,
 		Partitioner:    cfg.partitioner,
 		RoutingColumns: archiveRoutingColumns(),
 	})
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	return rt, nil
 }
 
 func run(cfg config) error {
-	var (
-		d   daemon
-		err error
-	)
-	if cfg.router {
-		d, err = newRouterServer(cfg)
-	} else {
-		d, err = newSingleServer(cfg)
-	}
+	d, err := newDaemon(cfg)
 	if err != nil {
 		return err
 	}

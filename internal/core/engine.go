@@ -944,10 +944,10 @@ type SearchRequest struct {
 	LoadRows bool
 	// Global, when set, overrides the collection statistics behind IDF with
 	// cluster-wide values (total documents, per-term df summed over every
-	// shard).  A Cluster fills it so each shard ranks with the same idf a
-	// single engine over the whole corpus would use; DF must align with the
-	// distinct analyzed terms of Query, which TermStats produces for the
-	// same query text.
+	// shard).  The shard router fills it so each shard ranks with the same
+	// idf a single engine over the whole corpus would use; DF must align
+	// with the distinct analyzed terms of Query, which TermStats produces
+	// for the same query text.
 	Global *index.GlobalStats
 }
 
@@ -1048,9 +1048,9 @@ func (ti *TextIndex) Search(req SearchRequest) (*SearchResult, error) {
 
 // TermStats analyzes query exactly like Search and reports the index's
 // collection statistics for the resulting terms: the snapshot document
-// count and each term's document frequency.  A cluster sums these across
-// shards into the index.GlobalStats it passes back via SearchRequest.Global
-// — tokenization is deterministic, so every shard (and the eventual Search
+// count and each term's document frequency.  The shard router sums these
+// across shards into the index.GlobalStats it passes back via
+// SearchRequest.Global — tokenization is deterministic, so every shard (and the eventual Search
 // calls) derives the same term list from the same query text and the df
 // vector stays aligned.
 func (ti *TextIndex) TermStats(query string) (numDocs int64, df []int64, err error) {
@@ -1068,27 +1068,6 @@ func (ti *TextIndex) TermStats(query string) (numDocs int64, df []int64, err err
 		return 0, nil, fmt.Errorf("core: text index %q: %w", ti.name, ErrClosed)
 	}
 	return ti.method.TermStats(terms)
-}
-
-// SearchIndex looks up the named text index and runs the query on it; it is
-// the Engine-level entry point the shard scatter-gather path (and any other
-// caller holding only an engine) uses.
-func (e *Engine) SearchIndex(name string, req SearchRequest) (*SearchResult, error) {
-	ti, err := e.TextIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return ti.Search(req)
-}
-
-// TermStats looks up the named text index and reports its collection
-// statistics for the query's analyzed terms (see TextIndex.TermStats).
-func (e *Engine) TermStats(name, query string) (int64, []int64, error) {
-	ti, err := e.TextIndex(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ti.TermStats(query)
 }
 
 // Name returns the index name.

@@ -89,13 +89,17 @@ func TestOnlineCreateIndexUnderLoad(t *testing.T) {
 							return
 						default:
 						}
+						// Load the flag before the lookup: another reader may
+						// publish between a failed lookup and a later load,
+						// and only a miss after an observed publish is a bug.
+						seen := published.Load()
 						ti, err := engine.TextIndex("live")
 						if err != nil {
 							if !errors.Is(err, relation.ErrNotFound) {
 								t.Errorf("reader %d: pre-publish lookup failed with %v, want ErrNotFound", r, err)
 								return
 							}
-							if published.Load() {
+							if seen {
 								t.Errorf("reader %d: index vanished after publish", r)
 								return
 							}

@@ -1,24 +1,18 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// This file defines the shard partitioning contract.  A Cluster owns N
-// engines ("shards") and routes every write to exactly one of them by a
-// Partitioner over the row's routing key (the primary key by default).
-// Partitioners are resolved by registered name so a durable cluster can
-// record which one it was created with and reopen with the same placement —
-// a partitioner change under existing data would silently orphan rows on
-// shards the router never consults.
+// This file defines the shard partitioning contract: a router over N shard
+// engines sends every write to exactly one of them by a Partitioner over
+// the row's routing key (the primary key by default).  The router and every
+// shard loader must use the same partitioner — a change under existing data
+// would silently orphan rows on shards the router never consults.
 
 // Partitioner maps a routing key to one of n shards.  Implementations must
 // be deterministic and stateless: the same (key, n) pair always yields the
-// same shard, on every process that ever opens the cluster.
+// same shard, on every process that ever loads or routes the data.
 type Partitioner interface {
-	// Name is the identifier the cluster manifest records.
+	// Name identifies the partitioner in flags and stats.
 	Name() string
 	// Shard returns the owning shard in [0, n) for the key.
 	Shard(key int64, n int) int
@@ -27,52 +21,16 @@ type Partitioner interface {
 // DefaultPartitioner is the partitioner used when none is named.
 const DefaultPartitioner = "hash"
 
-var (
-	partitionersMu sync.RWMutex
-	partitioners   = map[string]Partitioner{}
-)
-
-// RegisterPartitioner makes a partitioner resolvable by name (for
-// ClusterOptions.Partitioner and the durable cluster manifest).  Registering
-// a duplicate name panics, like flag redefinition: it is a wiring bug.
-func RegisterPartitioner(p Partitioner) {
-	partitionersMu.Lock()
-	defer partitionersMu.Unlock()
-	if _, dup := partitioners[p.Name()]; dup {
-		panic(fmt.Sprintf("core: partitioner %q registered twice", p.Name()))
-	}
-	partitioners[p.Name()] = p
-}
-
-// PartitionerByName resolves a registered partitioner; the empty name
-// resolves to DefaultPartitioner.
+// PartitionerByName resolves one of the built-in partitioners, "hash" or
+// "mod"; the empty name resolves to DefaultPartitioner.
 func PartitionerByName(name string) (Partitioner, error) {
-	if name == "" {
-		name = DefaultPartitioner
+	switch name {
+	case "", "hash":
+		return hashPartitioner{}, nil
+	case "mod":
+		return modPartitioner{}, nil
 	}
-	partitionersMu.RLock()
-	defer partitionersMu.RUnlock()
-	p, ok := partitioners[name]
-	if !ok {
-		return nil, fmt.Errorf("core: no partitioner registered under %q (have %v)", name, partitionerNamesLocked())
-	}
-	return p, nil
-}
-
-// PartitionerNames lists the registered partitioners in sorted order.
-func PartitionerNames() []string {
-	partitionersMu.RLock()
-	defer partitionersMu.RUnlock()
-	return partitionerNamesLocked()
-}
-
-func partitionerNamesLocked() []string {
-	names := make([]string, 0, len(partitioners))
-	for n := range partitioners {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return nil, fmt.Errorf("core: no partitioner named %q (have hash, mod)", name)
 }
 
 // hashPartitioner spreads keys by a 64-bit finalizer (splitmix64's mixing
@@ -105,9 +63,4 @@ func (modPartitioner) Shard(key int64, n int) int {
 		m += int64(n)
 	}
 	return int(m)
-}
-
-func init() {
-	RegisterPartitioner(hashPartitioner{})
-	RegisterPartitioner(modPartitioner{})
 }

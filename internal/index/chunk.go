@@ -327,12 +327,14 @@ func (m *ChunkMethod) TopK(q Query) (*QueryResult, error) {
 		}
 		ctx.streams = append(ctx.streams, combinedStream(short, long))
 	}
+	var lookups int
 	return m.runRanked(rankedQuery{
-		streams:     ctx.streams,
-		k:           q.K,
-		conjunctive: !q.Disjunctive,
-		maxPossible: maxPossibleChunkScore(s),
-		resolve:     probedChunkResolver(s),
+		streams:      ctx.streams,
+		k:            q.K,
+		conjunctive:  !q.Disjunctive,
+		maxPossible:  maxPossibleChunkScore(s),
+		resolve:      probedChunkResolver(s, &lookups),
+		scoreLookups: &lookups,
 	})
 }
 
@@ -340,8 +342,9 @@ func (m *ChunkMethod) TopK(q Query) (*QueryResult, error) {
 // and Score lookups run through leaf-locality probes pinned to the
 // snapshot: within a chunk the candidates arrive in ascending document
 // order, so both tables are walked left to right instead of descended per
-// candidate.  Shared by the Chunk and Chunk-TermScore methods.
-func probedChunkResolver(s *snap) func(g postings.Group) (float64, bool, error) {
+// candidate.  Shared by the Chunk and Chunk-TermScore methods.  Every
+// Score-table probe is counted in *lookups.
+func probedChunkResolver(s *snap, lookups *int) func(g postings.Group) (float64, bool, error) {
 	lp := s.table.newProbe()
 	sp := s.score.newProbe()
 	return func(g postings.Group) (float64, bool, error) {
@@ -353,6 +356,7 @@ func probedChunkResolver(s *snap) func(g postings.Group) (float64, bool, error) 
 			// Stale long-list copy; the short copy is processed instead.
 			return 0, false, nil
 		}
+		*lookups++
 		score, deleted, ok, err := sp.Get(g.Doc)
 		if err != nil {
 			return 0, false, err

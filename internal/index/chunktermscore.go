@@ -168,7 +168,7 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 	// leaf-locality probes; checkStop's remainList pruning probes documents
 	// in arbitrary order and keeps the plain lookups.
 	fancyScores := s.score.newProbe()
-	resolve := probedChunkResolver(s)
+	resolve := probedChunkResolver(s, &res.ScoreLookups)
 
 	// Phase 1 (Algorithm 3 lines 8-9): merge the fancy lists.  Documents
 	// present in every fancy list have exact combined scores and seed the
@@ -202,6 +202,7 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			res.ScoreLookups++
 			include := ok && !deleted
 			if include {
 				combined := svr
@@ -211,7 +212,6 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 					}
 				}
 				heap.Add(int64(g.Doc), combined)
-				res.ScoreLookups++
 			}
 			continue
 		}
@@ -315,7 +315,6 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.ScoreLookups++
 		if !include {
 			continue
 		}

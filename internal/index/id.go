@@ -214,8 +214,9 @@ func (m *IDMethod) docTermsForMaintenance(doc DocID) []string {
 
 // makeResolve builds the candidate resolver: the current-score lookup, plus
 // the per-term TFIDF contributions when the query asks for combined ranking.
-func (m *IDMethod) makeResolve(s *snap, q Query, idfs []float64) func(g postings.Group) (float64, bool, error) {
-	resolve := s.currentScoreResolver()
+// Every Score-table probe is counted in *lookups.
+func (m *IDMethod) makeResolve(s *snap, q Query, idfs []float64, lookups *int) func(g postings.Group) (float64, bool, error) {
+	resolve := s.currentScoreResolver(lookups)
 	if !q.WithTermScores {
 		return resolve
 	}
@@ -278,12 +279,14 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 		ctx.idfs = append(ctx.idfs, s.queryIDF(&q, i))
 	}
 
+	var lookups int
 	return m.runRanked(rankedQuery{
-		streams:     ctx.streams,
-		k:           q.K,
-		conjunctive: !q.Disjunctive,
-		maxPossible: neverStop,
-		resolve:     m.makeResolve(s, q, ctx.idfs),
+		streams:      ctx.streams,
+		k:            q.K,
+		conjunctive:  !q.Disjunctive,
+		maxPossible:  neverStop,
+		resolve:      m.makeResolve(s, q, ctx.idfs, &lookups),
+		scoreLookups: &lookups,
 	})
 }
 
@@ -378,7 +381,7 @@ func (m *IDMethod) leapfrogTopK(s *snap, q Query) (*QueryResult, bool, error) {
 	m.counters.queries.Add(1)
 	heap := topk.New(q.K)
 	res := &QueryResult{}
-	resolve := m.makeResolve(s, q, idfs)
+	resolve := m.makeResolve(s, q, idfs, &res.ScoreLookups)
 	group := postings.Group{
 		Entries: make([]postings.Entry, len(seekers)),
 		Present: make([]bool, len(seekers)),

@@ -711,3 +711,61 @@ func TestUpdateCostAsymmetry(t *testing.T) {
 		t.Error("Chunk method wrote no short-list postings for a two-chunk jump")
 	}
 }
+
+// TestScoreLookupsCounted checks that every method reports in
+// QueryResult.ScoreLookups exactly the Score-table probes its query made.
+// Docs 5 and 8 are updated first (one within the threshold ratio, one past
+// it), so the threshold and chunk methods resolve some candidates through
+// the Score table and not only from their list scores.
+func TestScoreLookupsCounted(t *testing.T) {
+	queries := []Query{
+		{Terms: []string{"golden", "gate"}, K: 3},
+		{Terms: []string{"news", "gate"}, K: 4, Disjunctive: true},
+		{Terms: []string{"golden", "gate"}, K: 3, WithTermScores: true},
+	}
+	for name, ctor := range allConstructors() {
+		t.Run(name, func(t *testing.T) {
+			m := buildMethod(t, name, ctor, smallCorpus())
+			if err := m.UpdateScore(5, 1500); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.UpdateScore(8, 50000); err != nil {
+				t.Fatal(err)
+			}
+			var st *scoreTable
+			switch m := m.(type) {
+			case *IDMethod:
+				st = m.score
+			case *ScoreMethod:
+				st = m.score
+			case *ScoreThresholdMethod:
+				st = m.score
+			case *ChunkMethod:
+				st = m.score
+			case *ChunkTermScoreMethod:
+				st = m.score
+			default:
+				t.Fatalf("unknown method type %T", m)
+			}
+			for _, q := range queries {
+				if q.WithTermScores && !strings.HasSuffix(name, "TermScore") {
+					continue
+				}
+				before := st.Lookups()
+				res, err := m.TopK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delta := int(st.Lookups() - before)
+				if res.ScoreLookups != delta {
+					t.Errorf("%v: ScoreLookups = %d, Score table counted %d probes", q, res.ScoreLookups, delta)
+				}
+				// The Score method ranks by the exact scores in its lists
+				// and never probes; every other method resolves candidates.
+				if name != "Score" && (delta == 0 || len(res.Results) == 0) {
+					t.Errorf("%v: %d probes for %d results, want a query that resolves candidates", q, delta, len(res.Results))
+				}
+			}
+		})
+	}
+}

@@ -67,6 +67,9 @@ type rankedQuery struct {
 	conjunctive bool
 	maxPossible func(sortKey float64) float64
 	resolve     func(g postings.Group) (score float64, include bool, err error)
+	// scoreLookups, when set, is the Score-table probe count resolve keeps;
+	// it becomes the result's ScoreLookups.
+	scoreLookups *int
 }
 
 // run executes the query and returns the ranked results with work counters.
@@ -115,6 +118,9 @@ func (b *base) runRanked(q rankedQuery) (*QueryResult, error) {
 		}
 	}
 	res.Results = heap.Results()
+	if q.scoreLookups != nil {
+		res.ScoreLookups = *q.scoreLookups
+	}
 	b.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
 }

@@ -333,12 +333,14 @@ func (m *ScoreThresholdMethod) TopK(q Query) (*QueryResult, error) {
 		}
 		ctx.streams = append(ctx.streams, combinedStream(short, long))
 	}
+	var lookups int
 	return m.runRanked(rankedQuery{
-		streams:     ctx.streams,
-		k:           q.K,
-		conjunctive: !q.Disjunctive,
-		maxPossible: m.thresholdValueOf,
-		resolve:     m.resolveCandidate(s),
+		streams:      ctx.streams,
+		k:            q.K,
+		conjunctive:  !q.Disjunctive,
+		maxPossible:  m.thresholdValueOf,
+		resolve:      m.resolveCandidate(s, &lookups),
+		scoreLookups: &lookups,
 	})
 }
 
@@ -346,7 +348,8 @@ func (m *ScoreThresholdMethod) TopK(q Query) (*QueryResult, error) {
 // snapshot: decide which copy of the document is authoritative and fetch
 // its latest score.  Candidates arrive in list order, not document order,
 // so plain snapshot lookups (full descents) beat leaf-caching probes here.
-func (m *ScoreThresholdMethod) resolveCandidate(s *snap) func(g postings.Group) (float64, bool, error) {
+// Every Score-table probe is counted in *lookups.
+func (m *ScoreThresholdMethod) resolveCandidate(s *snap, lookups *int) func(g postings.Group) (float64, bool, error) {
 	return func(g postings.Group) (float64, bool, error) {
 		entry, exists, err := s.table.Get(g.Doc)
 		if err != nil {
@@ -358,6 +361,7 @@ func (m *ScoreThresholdMethod) resolveCandidate(s *snap) func(g postings.Group) 
 			if g.SortKey != entry.Key {
 				return 0, false, nil
 			}
+			*lookups++
 			return s.currentScore(g.Doc)
 		}
 		if !exists {
@@ -366,6 +370,7 @@ func (m *ScoreThresholdMethod) resolveCandidate(s *snap) func(g postings.Group) 
 		}
 		// Updated but within the threshold: the long-list copy is authoritative
 		// but its stored score is stale, so probe the Score table.
+		*lookups++
 		return s.currentScore(g.Doc)
 	}
 }

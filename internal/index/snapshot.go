@@ -197,9 +197,11 @@ func (s *snap) currentScore(doc DocID) (float64, bool, error) {
 // score in the snapshot's Score table and skips deleted or unknown
 // documents.  Candidates arrive in ascending document order, so the lookups
 // run through a per-query probe that reuses the leaf of the previous one.
-func (s *snap) currentScoreResolver() func(g postings.Group) (float64, bool, error) {
+// Every probe is counted in *lookups.
+func (s *snap) currentScoreResolver(lookups *int) func(g postings.Group) (float64, bool, error) {
 	probe := s.score.newProbe()
 	return func(g postings.Group) (float64, bool, error) {
+		*lookups++
 		score, deleted, ok, err := probe.Get(g.Doc)
 		if err != nil {
 			return 0, false, err

@@ -11,16 +11,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"svrdb/internal/core"
 	"svrdb/internal/relation"
 )
 
-// Backend is one shard as the Router sees it: the subset of the single-node
-// API the scatter-gather layer needs, expressed over the same JSON DTOs the
+// Backend is one shard as the Router sees it: the subset of the HTTP API
+// the scatter-gather layer needs, expressed over the same JSON DTOs the
 // wire uses.  Two implementations exist — EngineBackend calls an in-process
 // core.Engine directly, HTTPBackend speaks to a remote svrserve — and the
 // Router cannot tell them apart, so a deployment can start with in-process
 // shards and split them across machines without touching routing logic.
+// The one exception is the change stream, an optional capability only an
+// in-process engine has (changeSource).
 type Backend interface {
 	// Label identifies the shard in health and stats output.
 	Label() string
@@ -29,14 +30,20 @@ type Backend interface {
 	InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error
 	Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error)
 	Schema(ctx context.Context, table string) (*SchemaResponse, error)
+	// Stats reports the shard's engine counters: the indexes, pool,
+	// pagefile and durability sections of the stats body.
 	Stats(ctx context.Context) (map[string]any, error)
 	// CreateIndex builds a text index on this shard; the router fans it out
 	// to every shard so searches can scatter uniformly afterwards.
-	CreateIndex(ctx context.Context, req CreateIndexRequest) error
+	CreateIndex(ctx context.Context, req CreateIndexRequest) (*CreateIndexResponse, error)
 	// DropIndex removes a text index from this shard.
 	DropIndex(ctx context.Context, name string) error
-	// CreateTenant registers (or re-quotas) a tenant on this shard.
-	CreateTenant(ctx context.Context, req CreateTenantRequest) error
+	// CreateTenant registers (or re-quotas) a tenant on this shard and
+	// reports it with this shard's usage.
+	CreateTenant(ctx context.Context, req CreateTenantRequest) (*TenantStatus, error)
+	// Tenants lists the tenants registered on this shard with this shard's
+	// usage.
+	Tenants(ctx context.Context) ([]TenantStatus, error)
 	// Health returns nil when the shard can serve.
 	Health(ctx context.Context) error
 	Close() error
@@ -44,7 +51,7 @@ type Backend interface {
 
 // backendError carries the HTTP status a backend's failure maps to — for
 // HTTPBackend, the status the remote shard already chose; for in-process
-// validation failures, the status the single-node handler would have sent.
+// failures, the status the engine error maps to.
 // resp, when set, is the structured error body to forward verbatim (a
 // shard's not_found payload keeps its code/resource/name fields through the
 // router).
@@ -56,8 +63,24 @@ type backendError struct {
 
 func (e *backendError) Error() string { return e.msg }
 
-// notFoundBackendErr builds the structured 404 the single-node handlers
-// emit, wrapped as a backendError so the router forwards the same shape.
+// errUnreachable marks an HTTPBackend request that got no HTTP response at
+// all.  It is the one failure that marks a shard down before its next
+// health probe: any answer the shard gave, 4xx or 5xx, is that request's
+// error only.
+var errUnreachable = errors.New("unreachable")
+
+// changeSource is the optional Backend capability behind GET /v1/changes.
+// Streaming a table's commits needs the engine's in-process change
+// listeners, so only EngineBackend has it.
+type changeSource interface {
+	// subscribe registers fn for every committed change of table and
+	// returns the table's schema and the call that unregisters fn.  fn runs
+	// on the engine's commit path and must not block.
+	subscribe(table string, fn func(relation.Change)) (relation.Schema, func(), error)
+}
+
+// notFoundBackendErr builds the structured 404 for a missing index, table
+// or tenant, wrapped as a backendError so writeError forwards its shape.
 func notFoundBackendErr(resource, name string, err error) *backendError {
 	return &backendError{
 		status: http.StatusNotFound,
@@ -80,125 +103,6 @@ func httpStatusOf(err error) int {
 		return be.status
 	}
 	return statusForEngineErr(err)
-}
-
-// --- in-process backend ----------------------------------------------------------
-
-// EngineBackend serves a shard from an engine in the router's own process.
-// It reuses the exact request bodies the single-node handlers run
-// (insertJSONRows, applyJSONBatch, coreSearchRequest), so routed and direct
-// writes take the same code path.
-type EngineBackend struct {
-	label  string
-	engine *core.Engine
-	// ownsEngine: Close closes the engine only if this backend opened it
-	// conceptually (the router built it), not when the caller shares the
-	// engine with other frontends.
-	ownsEngine bool
-}
-
-// NewEngineBackend wraps an engine as a shard backend.  When ownsEngine is
-// true, closing the backend closes the engine.
-func NewEngineBackend(label string, engine *core.Engine, ownsEngine bool) *EngineBackend {
-	return &EngineBackend{label: label, engine: engine, ownsEngine: ownsEngine}
-}
-
-// Engine returns the wrapped engine (tests and the bench harness use it to
-// load shard data directly).
-func (b *EngineBackend) Engine() *core.Engine { return b.engine }
-
-func (b *EngineBackend) Label() string { return b.label }
-
-func (b *EngineBackend) Search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
-	query, err := normalizeQuery(req.Query, req.Terms)
-	if err != nil {
-		return nil, &backendError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	k, err := boundSearchK(req.K)
-	if err != nil {
-		return nil, &backendError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	ti, err := b.engine.TextIndex(index)
-	if err != nil {
-		return nil, notFoundBackendErr("index", index, err)
-	}
-	res, err := ti.Search(coreSearchRequest(query, k, req))
-	if err != nil {
-		return nil, err
-	}
-	resp := searchResponseFromResult(b.engine, ti.Table(), res, req.LoadRows)
-	return &resp, nil
-}
-
-func (b *EngineBackend) TermStats(ctx context.Context, index, query string) (*TermStatsResponse, error) {
-	ti, err := b.engine.TextIndex(index)
-	if err != nil {
-		return nil, notFoundBackendErr("index", index, err)
-	}
-	numDocs, df, err := ti.TermStats(query)
-	if err != nil {
-		return nil, err
-	}
-	return &TermStatsResponse{NumDocs: numDocs, DF: df}, nil
-}
-
-func (b *EngineBackend) InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error {
-	return insertJSONRows(b.engine, table, rows)
-}
-
-func (b *EngineBackend) Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error) {
-	matched, err := applyJSONBatch(b.engine, ops)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResponse{Applied: len(ops), Matched: matched}, nil
-}
-
-func (b *EngineBackend) Schema(ctx context.Context, table string) (*SchemaResponse, error) {
-	tbl, err := b.engine.DB().Table(table)
-	if err != nil {
-		return nil, notFoundBackendErr("table", table, err)
-	}
-	resp := schemaResponse(table, tbl.Schema())
-	return &resp, nil
-}
-
-func (b *EngineBackend) Stats(ctx context.Context) (map[string]any, error) {
-	return engineStatsPayload(b.engine), nil
-}
-
-func (b *EngineBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) error {
-	return createJSONIndex(b.engine, req)
-}
-
-func (b *EngineBackend) DropIndex(ctx context.Context, name string) error {
-	if err := b.engine.DropTextIndex(name); err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
-			return notFoundBackendErr("index", name, err)
-		}
-		return err
-	}
-	return nil
-}
-
-func (b *EngineBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) error {
-	return createJSONTenant(b.engine, req)
-}
-
-// Health reports the engine's close state; an in-process shard is down only
-// once its engine is closed.
-func (b *EngineBackend) Health(ctx context.Context) error {
-	if b.engine.Closed() {
-		return fmt.Errorf("engine closed: %w", core.ErrClosed)
-	}
-	return nil
-}
-
-func (b *EngineBackend) Close() error {
-	if !b.ownsEngine {
-		return nil
-	}
-	return b.engine.Close()
 }
 
 // --- HTTP backend ----------------------------------------------------------------
@@ -264,7 +168,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 	resp, err := b.client.Do(req)
 	if err != nil {
 		b.failures.Add(1)
-		return fmt.Errorf("shard %s: %w", b.label, err)
+		return fmt.Errorf("shard %s %w: %w", b.label, errUnreachable, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
@@ -372,24 +276,51 @@ func (b *HTTPBackend) Schema(ctx context.Context, table string) (*SchemaResponse
 	return &out, nil
 }
 
+// Stats keeps the engine sections of the remote node's stats body; its
+// uptime, endpoints, tenants and shard sections describe the node, not the
+// shard's data.
 func (b *HTTPBackend) Stats(ctx context.Context) (map[string]any, error) {
 	var out map[string]any
 	if err := b.do(ctx, http.MethodGet, "/v1/stats", nil, &out); err != nil {
 		return nil, err
 	}
-	return out, nil
+	st := map[string]any{}
+	for _, key := range []string{"indexes", "pool", "pagefile", "durability"} {
+		if v, ok := out[key]; ok {
+			st[key] = v
+		}
+	}
+	return st, nil
 }
 
-func (b *HTTPBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) error {
-	return b.do(ctx, http.MethodPost, "/v1/indexes", req, nil)
+func (b *HTTPBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) (*CreateIndexResponse, error) {
+	var out CreateIndexResponse
+	if err := b.do(ctx, http.MethodPost, "/v1/indexes", req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 func (b *HTTPBackend) DropIndex(ctx context.Context, name string) error {
 	return b.do(ctx, http.MethodDelete, "/v1/indexes/"+url.PathEscape(name), nil, nil)
 }
 
-func (b *HTTPBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) error {
-	return b.do(ctx, http.MethodPost, "/v1/tenants", req, nil)
+func (b *HTTPBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) (*TenantStatus, error) {
+	var out TenantStatus
+	if err := b.do(ctx, http.MethodPost, "/v1/tenants", req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+func (b *HTTPBackend) Tenants(ctx context.Context) ([]TenantStatus, error) {
+	var out struct {
+		Tenants []TenantStatus `json:"tenants"`
+	}
+	if err := b.do(ctx, http.MethodGet, "/v1/tenants", nil, &out); err != nil {
+		return nil, err
+	}
+	return out.Tenants, nil
 }
 
 func (b *HTTPBackend) Health(ctx context.Context) error {

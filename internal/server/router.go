@@ -5,24 +5,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"svrdb/internal/core"
+	"svrdb/internal/relation"
 	"svrdb/internal/topk"
 )
 
-// Router serves the single-node HTTP API over a set of shard backends.
-// Writes are routed: each row lives on exactly one shard, chosen by a
-// partitioner over the row's routing key.  Searches scatter to every
+// Router is the HTTP front end: it serves the JSON API over a set of shard
+// backends, and a single node is a Router over one in-process engine (see
+// New).  Writes are routed: each row lives on exactly one shard, chosen by
+// a partitioner over the row's routing key.  Searches scatter to every
 // healthy shard and gather through the same top-k merge discipline the
 // engine uses internally, with one extra wrinkle for TF-IDF: document
 // frequencies are collected from all shards first and the summed totals are
 // pinned into each shard's request, so sharded ranking is byte-identical to
-// a single engine holding all the data (see core.ScatterSearch for the
-// in-process equivalent and the full argument).
+// a single engine holding all the data (TestRouterShardedEquivalence).
 //
 // Availability beats completeness on the read path: a dead shard removes
 // its documents from the result and sets "partial": true, it does not fail
@@ -35,16 +40,40 @@ type Router struct {
 	opts     RouterOptions
 	metrics  *Registry
 	mux      *http.ServeMux
-	life     *lifecycle
 
-	// health[i] tracks backends[i]; flipped by the prober and by search
+	// health[i] tracks backends[i]; flipped by the prober and by transport
 	// failures, read lock-free on every request.
 	health []shardHealth
 
 	// stop ends the health prober; wg waits it out during shutdown.
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
+
+	// draining turns new requests away with 503 while Shutdown waits for
+	// in-flight ones; it is the HTTP analogue of the engine's close fence.
+	draining atomic.Bool
+	// inflightN counts requests inside the fence, so Shutdown can drain
+	// them even when the router does not own the listener (a caller
+	// embedding Handler in its own http.Server) — http.Server.Shutdown
+	// only covers the owned-listener path.  A mutex-guarded counter with an
+	// idle signal, not a sync.WaitGroup: requests keep arriving (to be
+	// 503'd) while the drain waits, and Add racing Wait from zero is
+	// documented WaitGroup misuse that can panic.
+	inflightMu sync.Mutex
+	inflightN  int
+	// inflightIdle, when non-nil, is closed by the request that drops the
+	// counter to zero; Shutdown installs it to wait for the drain.
+	inflightIdle chan struct{}
+
+	httpSrv  *http.Server
+	listener net.Listener
+	// serveDone closes when the accept loop exits; serveErr (valid after
+	// the close) is nil on a clean ErrServerClosed exit.
+	serveDone chan struct{}
+	serveErr  error
+
+	closeOnce sync.Once
+	closeErr  error
 
 	// schemas caches table schemas fetched from shards.  Tables are created
 	// at load time and never altered over this API, so the cache cannot go
@@ -63,7 +92,8 @@ type shardHealth struct {
 // RouterOptions configures a Router.
 type RouterOptions struct {
 	// ReadTimeout and WriteTimeout bound request parsing and response
-	// writing when the router owns the listener (Start).
+	// writing when the router owns the listener (Start).  Zero means no
+	// timeout, matching net/http.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// ShardTimeout bounds every per-shard sub-request; zero means 10s.  A
@@ -72,8 +102,9 @@ type RouterOptions struct {
 	ShardTimeout time.Duration
 	// HealthInterval is the probe period; zero means 500ms.
 	HealthInterval time.Duration
-	// Partitioner names a registered partitioner; empty means the default.
-	// It must match the partitioner the shard data was loaded with.
+	// Partitioner names a partitioner ("hash" or "mod"); empty means the
+	// default.  It must match the partitioner the shard data was loaded
+	// with.
 	Partitioner string
 	// RoutingColumns overrides the routing column per table (default: the
 	// table's first column, the primary key).  It must match the placement
@@ -85,6 +116,9 @@ const (
 	defaultShardTimeout   = 10 * time.Second
 	defaultHealthInterval = 500 * time.Millisecond
 )
+
+// errNoHealthyShards answers a request no shard can serve.
+var errNoHealthyShards = &backendError{status: http.StatusServiceUnavailable, msg: "server: no healthy shards"}
 
 // NewRouter builds a router over the given shard backends.  Backend order
 // is the shard numbering: backends[i] must hold exactly the keys the
@@ -104,15 +138,15 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 		opts.HealthInterval = defaultHealthInterval
 	}
 	rt := &Router{
-		backends: backends,
-		part:     part,
-		opts:     opts,
-		metrics:  NewRegistry(),
-		mux:      http.NewServeMux(),
-		life:     newLifecycle(opts.ReadTimeout, opts.WriteTimeout),
-		health:   make([]shardHealth, len(backends)),
-		stop:     make(chan struct{}),
-		schemas:  map[string]*SchemaResponse{},
+		backends:  backends,
+		part:      part,
+		opts:      opts,
+		metrics:   NewRegistry(),
+		mux:       http.NewServeMux(),
+		health:    make([]shardHealth, len(backends)),
+		stop:      make(chan struct{}),
+		schemas:   map[string]*SchemaResponse{},
+		serveDone: make(chan struct{}),
 	}
 	// Start optimistic: every shard is presumed up until a probe or a
 	// request says otherwise, so the first requests after boot are not
@@ -132,45 +166,33 @@ func (rt *Router) Metrics() *Registry { return rt.metrics }
 // Backends returns the router's shard backends in shard order.
 func (rt *Router) Backends() []Backend { return rt.backends }
 
-// Handler returns the router's root handler behind the draining fence, for
-// embedding in an external listener.
-func (rt *Router) Handler() http.Handler {
-	return rt.life.fence(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		jw := &jsonErrorWriter{ResponseWriter: w}
-		start := time.Now()
-		rt.mux.ServeHTTP(jw, r)
-		if jw.rewrote {
-			rt.metrics.Observe("(unmatched)", jw.status, time.Since(start))
-		}
-	}))
+// parallel runs fn(0), …, fn(n-1) concurrently and waits for all of them.
+// The last call runs on the caller's goroutine, so a fan-out to one shard
+// starts none.
+func parallel(n int, fn func(j int)) {
+	if n == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for j := 0; j < n-1; j++ {
+		go func() {
+			defer wg.Done()
+			fn(j)
+		}()
+	}
+	fn(n - 1)
+	wg.Wait()
 }
 
-// Start listens on addr and serves in a background goroutine, returning the
-// bound address.
-func (rt *Router) Start(addr string) (string, error) {
-	return rt.life.start(addr, rt.Handler())
-}
-
-// Done closes when the accept loop has exited.
-func (rt *Router) Done() <-chan struct{} { return rt.life.done() }
-
-// ServeErr reports why the accept loop exited; meaningful once Done closes.
-func (rt *Router) ServeErr() error { return rt.life.serveError() }
-
-// Shutdown drains in-flight requests, stops the health prober and closes
-// every backend.  Idempotent like Server.Shutdown.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	return rt.life.shutdown(ctx, func() error {
-		rt.stopOnce.Do(func() { close(rt.stop) })
-		rt.wg.Wait()
-		var errs []error
-		for _, b := range rt.backends {
-			if err := b.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("server: backend %s close: %w", b.Label(), err))
-			}
+// firstError returns the first non-nil error of errs.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		return errors.Join(errs...)
-	})
+	}
+	return nil
 }
 
 // --- health ----------------------------------------------------------------------
@@ -192,19 +214,13 @@ func (rt *Router) probeLoop() {
 func (rt *Router) probeAll() {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ShardTimeout)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := rt.backends[i].Health(ctx); err != nil {
-				rt.markDown(i, err)
-			} else {
-				rt.markUp(i)
-			}
-		}(i)
-	}
-	wg.Wait()
+	parallel(len(rt.backends), func(i int) {
+		if err := rt.backends[i].Health(ctx); err != nil {
+			rt.markDown(i, err)
+		} else {
+			rt.markUp(i)
+		}
+	})
 }
 
 func (rt *Router) markDown(i int, err error) {
@@ -214,17 +230,15 @@ func (rt *Router) markDown(i int, err error) {
 	rt.health[i].errMu.Unlock()
 }
 
-// noteShardErr marks a shard down only for failures that say the shard
-// itself is unhealthy: transport errors and 5xx responses.  A 4xx means the
-// shard answered — it just rejected the request (unknown index, bad query) —
-// and marking it down would eject every healthy shard the first time a
-// client typos an index name.
+// noteShardErr marks a shard down only when a request to it got no answer
+// at all (an HTTPBackend transport failure).  An answer — a 4xx for a
+// client mistake, or a 5xx such as an in-process engine's error — is that
+// request's error: the shard's health is left to the prober, so one failed
+// request never turns the next ones into "no healthy shards" 503s.
 func (rt *Router) noteShardErr(i int, err error) {
-	var be *backendError
-	if errors.As(err, &be) && be.status < 500 {
-		return
+	if errors.Is(err, errUnreachable) {
+		rt.markDown(i, err)
 	}
-	rt.markDown(i, err)
 }
 
 func (rt *Router) markUp(i int) {
@@ -247,6 +261,7 @@ func (rt *Router) healthyShards() []int {
 
 // --- routes ----------------------------------------------------------------------
 
+// routes installs every endpoint, instrumented with the metrics registry.
 func (rt *Router) routes() {
 	register := func(pattern string, h http.HandlerFunc) {
 		rt.mux.HandleFunc(pattern, rt.metrics.instrument(pattern, h))
@@ -261,6 +276,7 @@ func (rt *Router) routes() {
 	register("POST /v1/tables/{name}/rows", rt.handleInsertRows)
 	register("POST /v1/batch", rt.handleBatch)
 	register("POST /v1/tenants", rt.handleCreateTenant)
+	register("GET /v1/tenants", rt.handleListTenants)
 	register("GET /v1/changes", rt.handleChanges)
 }
 
@@ -293,33 +309,29 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, map[string]any{
 		"status":         status,
-		"mode":           "router",
 		"uptime_seconds": rt.metrics.Uptime().Seconds(),
 		"shards":         shards,
 		"healthy_shards": healthy,
 	})
 }
 
+// handleStats serves one body for every deployment: the engine sections
+// (indexes, pool, pagefile, durability) summed over the shards that
+// answered, the per-shard breakdown under "shards", the cluster's health,
+// per-endpoint metrics, and per-tenant usage with latency.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
 	perShard := make([]map[string]any, len(rt.backends))
-	var wg sync.WaitGroup
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := rt.backends[i].Stats(ctx)
-			if err != nil {
-				perShard[i] = map[string]any{"error": err.Error()}
-				return
-			}
-			perShard[i] = st
-		}(i)
-	}
-	wg.Wait()
+	parallel(len(rt.backends), func(i int) {
+		st, err := rt.backends[i].Stats(ctx)
+		if err != nil {
+			st = map[string]any{"error": err.Error()}
+		}
+		perShard[i] = st
+	})
+	body := map[string]any{}
 	shards := map[string]any{}
-	totals := map[string]any{}
 	healthy := 0
 	for i, b := range rt.backends {
 		if rt.health[i].up.Load() {
@@ -327,32 +339,74 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		shards[fmt.Sprintf("shard-%d (%s)", i, b.Label())] = perShard[i]
 		if _, failed := perShard[i]["error"]; !failed {
-			mergeStatsInto(totals, perShard[i])
+			mergeStatsInto(body, perShard[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds": rt.metrics.Uptime().Seconds(),
-		"cluster": map[string]any{
-			"shards":         len(rt.backends),
-			"healthy_shards": healthy,
-			"partitioner":    rt.part.Name(),
-		},
-		"totals":    totals,
-		"shards":    shards,
-		"endpoints": rt.metrics.Snapshot(),
-	})
+	// The merge summed each shard's compression ratio; the total's ratio is
+	// that of the summed bytes.
+	indexes, _ := body["indexes"].(map[string]any)
+	for _, v := range indexes {
+		if ix, ok := v.(map[string]any); ok {
+			raw, _ := toFloat(ix["long_list_raw_bytes"])
+			stored, _ := toFloat(ix["long_list_bytes"])
+			ix["compression_ratio"] = compressionRatio(raw, stored)
+		}
+	}
+	// Per-tenant latency cells live in the same registry under a label
+	// prefix; split them into the tenants section so the endpoints list
+	// stays per-route.
+	endpoints := make([]EndpointSnapshot, 0)
+	latencies := map[string]EndpointSnapshot{}
+	for _, snap := range rt.metrics.Snapshot() {
+		if t, ok := strings.CutPrefix(snap.Route, tenantRoutePrefix); ok {
+			latencies[t] = snap
+			continue
+		}
+		endpoints = append(endpoints, snap)
+	}
+	// A shard that fails to list its tenants is left out of their usage, as
+	// its counters are left out of the sums when its stats fail.
+	statuses, _ := rt.tenants(ctx)
+	tenants := make([]tenantStats, len(statuses))
+	for i, st := range statuses {
+		tenants[i] = tenantStats{TenantStatus: st}
+		if lat, ok := latencies[st.Name]; ok {
+			tenants[i].Latency = &lat
+		}
+	}
+	body["uptime_seconds"] = rt.metrics.Uptime().Seconds()
+	body["cluster"] = map[string]any{
+		"shards":         len(rt.backends),
+		"healthy_shards": healthy,
+		"partitioner":    rt.part.Name(),
+	}
+	body["shards"] = shards
+	body["endpoints"] = endpoints
+	body["tenants"] = tenants
+	writeJSON(w, http.StatusOK, body)
+}
+
+// tenantStats is one entry of the stats body's tenants section: the
+// tenant's status plus the latency of requests carrying its header.
+type tenantStats struct {
+	TenantStatus
+	Latency *EndpointSnapshot `json:"latency,omitempty"`
+}
+
+// compressionRatio is raw long-list bytes over stored bytes, 0 when either
+// is zero.
+func compressionRatio(raw, stored float64) float64 {
+	if raw <= 0 || stored <= 0 {
+		return 0
+	}
+	return raw / stored
 }
 
 // mergeStatsInto recursively sums src's numeric leaves into dst, so the
-// router's "totals" section aggregates every per-shard counter map without
-// enumerating the schema.  Non-numeric leaves (method names) keep the first
-// shard's value; per-node keys that are not cluster-summable (uptime,
-// endpoint latency snapshots) are skipped.
+// stats body aggregates every per-shard counter map without enumerating the
+// schema.  Non-numeric leaves (method names) keep the first shard's value.
 func mergeStatsInto(dst, src map[string]any) {
 	for key, sv := range src {
-		if key == "uptime_seconds" || key == "endpoints" {
-			continue
-		}
 		switch sv := sv.(type) {
 		case map[string]any:
 			sub, ok := dst[key].(map[string]any)
@@ -393,7 +447,7 @@ func toFloat(v any) (float64, bool) {
 }
 
 func (rt *Router) handleSchema(w http.ResponseWriter, r *http.Request) {
-	schema, err := rt.tableSchema(r.Context(), r.PathValue("name"))
+	schema, err := rt.tableSchema(r.Context(), qualifyName(r, r.PathValue("name")))
 	if err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
@@ -412,7 +466,7 @@ func (rt *Router) tableSchema(ctx context.Context, table string) (*SchemaRespons
 	}
 	idxs := rt.healthyShards()
 	if len(idxs) == 0 {
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no healthy shards"}
+		return nil, errNoHealthyShards
 	}
 	var firstErr error
 	for _, i := range idxs {
@@ -451,7 +505,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Forward a canonical request: one query string and an explicit k, so
 	// every shard tokenizes identically and the merge heap matches theirs.
 	req.Query, req.Terms, req.K = query, nil, k
-	resp, err := rt.scatterSearch(r.Context(), r.PathValue("name"), req)
+	resp, err := rt.scatterSearch(r.Context(), qualifyName(r, r.PathValue("name")), req)
 	if err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
@@ -469,7 +523,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
 	idxs := rt.healthyShards()
 	if len(idxs) == 0 {
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no healthy shards"}
+		return nil, errNoHealthyShards
 	}
 	partial := len(idxs) < len(rt.backends)
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.ShardTimeout)
@@ -477,66 +531,32 @@ func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchReq
 
 	// Gather phase: sum per-shard document frequencies so each shard ranks
 	// with collection-global IDF.  Only TF-IDF ranking consults collection
-	// statistics; plain SVR-score ranking skips the extra round-trip.
-	if req.WithTermScores && req.Global == nil {
-		stats := make([]*TermStatsResponse, len(idxs))
-		errs := make([]error, len(idxs))
-		var wg sync.WaitGroup
-		for j, i := range idxs {
-			wg.Add(1)
-			go func(j, i int) {
-				defer wg.Done()
-				stats[j], errs[j] = rt.backends[i].TermStats(ctx, index, req.Query)
-			}(j, i)
+	// statistics, and a scatter to one shard needs no gather either: that
+	// shard's local statistics are the global ones.
+	if req.WithTermScores && req.Global == nil && len(idxs) > 1 {
+		stats, alive, err := rt.gatherTermStats(ctx, idxs, index, req.Query)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		global := &GlobalStats{}
-		alive := idxs[:0]
-		var firstErr error
-		for j, i := range idxs {
-			if errs[j] != nil {
-				// A shard that cannot answer the gather cannot score
-				// consistently either; drop it from the scatter too.
-				rt.noteShardErr(i, errs[j])
-				partial = true
-				if firstErr == nil {
-					firstErr = errs[j]
-				}
-				continue
-			}
-			if global.DF == nil {
-				global.DF = make([]int64, len(stats[j].DF))
-			} else if len(stats[j].DF) != len(global.DF) {
-				// Shards disagree on the query's term list — an analyzer
-				// mismatch.  Global IDF would be garbage; fail loudly.
-				return nil, fmt.Errorf("router: shard %s analyzed %d terms, others %d (analyzer mismatch?)",
-					rt.backends[i].Label(), len(stats[j].DF), len(global.DF))
-			}
-			global.NumDocs += stats[j].NumDocs
-			for t, df := range stats[j].DF {
-				global.DF[t] += df
-			}
-			alive = append(alive, i)
-		}
-		if len(alive) == 0 {
-			return nil, firstErr
-		}
+		// A shard that cannot answer the gather cannot score consistently
+		// either; it is dropped from the scatter too.
+		partial = partial || len(alive) < len(idxs)
 		idxs = alive
-		req.Global = global
+		req.Global = &GlobalStats{NumDocs: stats.NumDocs, DF: stats.DF}
 	}
 
 	// Scatter phase.
 	results := make([]*SearchResponse, len(idxs))
 	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			results[j], errs[j] = rt.backends[i].Search(ctx, index, req)
-		}(j, i)
+	parallel(len(idxs), func(j int) {
+		results[j], errs[j] = rt.backends[idxs[j]].Search(ctx, index, req)
+	})
+
+	// One shard's top-k is already the answer; a single node pays no merge.
+	if len(idxs) == 1 && errs[0] == nil {
+		results[0].Partial = results[0].Partial || partial
+		return results[0], nil
 	}
-	wg.Wait()
 
 	// Gather: merge local top-ks through the same heap the engine's own
 	// rankers use, so cross-shard ties break identically (score desc, pk
@@ -544,34 +564,27 @@ func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchReq
 	// byPK only carries each hit's row payload across the heap.
 	heap := topk.New(req.K)
 	byPK := make(map[int64]SearchHit)
-	merged := &SearchResponse{}
-	succeeded := 0
-	var firstErr error
+	merged := &SearchResponse{Partial: partial}
+	answered := 0
 	for j, i := range idxs {
 		if errs[j] != nil {
 			rt.noteShardErr(i, errs[j])
-			partial = true
-			if firstErr == nil {
-				firstErr = errs[j]
-			}
+			merged.Partial = true
 			continue
 		}
-		succeeded++
+		answered++
 		res := results[j]
 		merged.PostingsScanned += res.PostingsScanned
 		merged.Stopped = merged.Stopped || res.Stopped
-		partial = partial || res.Partial
+		merged.Partial = merged.Partial || res.Partial
 		for _, h := range res.Hits {
 			if heap.Add(h.PK, h.Score) {
 				byPK[h.PK] = h
 			}
 		}
 	}
-	if succeeded == 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no shard answered"}
+	if answered == 0 {
+		return nil, firstError(errs)
 	}
 	ranked := heap.Results()
 	merged.Hits = make([]SearchHit, len(ranked))
@@ -580,8 +593,43 @@ func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchReq
 		hit.Score = r.Score
 		merged.Hits[i] = hit
 	}
-	merged.Partial = partial
 	return merged, nil
+}
+
+// gatherTermStats sums the term statistics of the shards idxs and returns
+// the sum with the shards that answered.  A shard that fails is left out;
+// only when none answers is the first failure returned.  Shards that
+// analyze the query into different term lists are an error: their sum
+// would be garbage.
+func (rt *Router) gatherTermStats(ctx context.Context, idxs []int, index, query string) (*TermStatsResponse, []int, error) {
+	stats := make([]*TermStatsResponse, len(idxs))
+	errs := make([]error, len(idxs))
+	parallel(len(idxs), func(j int) {
+		stats[j], errs[j] = rt.backends[idxs[j]].TermStats(ctx, index, query)
+	})
+	total := &TermStatsResponse{}
+	var alive []int
+	for j, i := range idxs {
+		if errs[j] != nil {
+			rt.noteShardErr(i, errs[j])
+			continue
+		}
+		if alive == nil {
+			total.DF = make([]int64, len(stats[j].DF))
+		} else if len(stats[j].DF) != len(total.DF) {
+			return nil, nil, fmt.Errorf("server: shard %s analyzed %d terms, others %d (analyzer mismatch?)",
+				rt.backends[i].Label(), len(stats[j].DF), len(total.DF))
+		}
+		total.NumDocs += stats[j].NumDocs
+		for t, df := range stats[j].DF {
+			total.DF[t] += df
+		}
+		alive = append(alive, i)
+	}
+	if alive == nil {
+		return nil, nil, firstError(errs)
+	}
+	return total, alive, nil
 }
 
 func (rt *Router) handleTermStats(w http.ResponseWriter, r *http.Request) {
@@ -597,50 +645,14 @@ func (rt *Router) handleTermStats(w http.ResponseWriter, r *http.Request) {
 	}
 	idxs := rt.healthyShards()
 	if len(idxs) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errors.New("router: no healthy shards"))
+		writeError(w, http.StatusServiceUnavailable, errNoHealthyShards)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
-	index := r.PathValue("name")
-	stats := make([]*TermStatsResponse, len(idxs))
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			stats[j], errs[j] = rt.backends[i].TermStats(ctx, index, query)
-		}(j, i)
-	}
-	wg.Wait()
-	total := TermStatsResponse{}
-	succeeded := 0
-	var firstErr error
-	for j, i := range idxs {
-		if errs[j] != nil {
-			rt.noteShardErr(i, errs[j])
-			if firstErr == nil {
-				firstErr = errs[j]
-			}
-			continue
-		}
-		if total.DF == nil {
-			total.DF = make([]int64, len(stats[j].DF))
-		} else if len(stats[j].DF) != len(total.DF) {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("router: shard %s analyzed %d terms, others %d (analyzer mismatch?)",
-					rt.backends[i].Label(), len(stats[j].DF), len(total.DF)))
-			return
-		}
-		total.NumDocs += stats[j].NumDocs
-		for t, df := range stats[j].DF {
-			total.DF[t] += df
-		}
-		succeeded++
-	}
-	if succeeded == 0 {
-		writeError(w, httpStatusOf(firstErr), firstErr)
+	total, _, err := rt.gatherTermStats(ctx, idxs, qualifyName(r, r.PathValue("name")), query)
+	if err != nil {
+		writeError(w, httpStatusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, total)
@@ -657,7 +669,7 @@ func (rt *Router) routingColumn(schema *SchemaResponse) (string, error) {
 				if c.Kind != "int64" {
 					return "", &backendError{
 						status: http.StatusInternalServerError,
-						msg:    fmt.Sprintf("router: routing column %q of table %q is %s, need int64", col, schema.Table, c.Kind),
+						msg:    fmt.Sprintf("server: routing column %q of table %q is %s, need int64", col, schema.Table, c.Kind),
 					}
 				}
 				return col, nil
@@ -665,11 +677,11 @@ func (rt *Router) routingColumn(schema *SchemaResponse) (string, error) {
 		}
 		return "", &backendError{
 			status: http.StatusInternalServerError,
-			msg:    fmt.Sprintf("router: routing column %q not in table %q", col, schema.Table),
+			msg:    fmt.Sprintf("server: routing column %q not in table %q", col, schema.Table),
 		}
 	}
 	if len(schema.Columns) == 0 {
-		return "", &backendError{status: http.StatusInternalServerError, msg: fmt.Sprintf("router: table %q has no columns", schema.Table)}
+		return "", &backendError{status: http.StatusInternalServerError, msg: fmt.Sprintf("server: table %q has no columns", schema.Table)}
 	}
 	return schema.Columns[0].Name, nil
 }
@@ -699,10 +711,24 @@ func (rt *Router) shardFor(key int64) (int, error) {
 	if !rt.health[i].up.Load() {
 		return 0, &backendError{
 			status: http.StatusServiceUnavailable,
-			msg:    fmt.Sprintf("router: shard %d (%s) owning key %d is down", i, rt.backends[i].Label(), key),
+			msg:    fmt.Sprintf("server: shard %d (%s) owning key %d is down", i, rt.backends[i].Label(), key),
 		}
 	}
 	return i, nil
+}
+
+// fanOut runs call for every shard in shards in parallel and joins the
+// failures, each named by its shard.  There is no cross-shard transaction:
+// on failure, writes on the other shards may already be in (the same
+// applied-up-to contract as a single engine's batch).
+func fanOut(shards []int, call func(shard int) error) error {
+	errs := make([]error, len(shards))
+	parallel(len(shards), func(j int) {
+		if err := call(shards[j]); err != nil {
+			errs[j] = fmt.Errorf("shard %d: %w", shards[j], err)
+		}
+	})
+	return errors.Join(errs...)
 }
 
 func (rt *Router) handleInsertRows(w http.ResponseWriter, r *http.Request) {
@@ -715,7 +741,7 @@ func (rt *Router) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("\"rows\" must be a non-empty array"))
 		return
 	}
-	table := r.PathValue("name")
+	table := qualifyName(r, r.PathValue("name"))
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
 	schema, err := rt.tableSchema(ctx, table)
@@ -742,38 +768,13 @@ func (rt *Router) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 		}
 		perShard[shard] = append(perShard[shard], obj)
 	}
-	// Per-shard sub-batches run in parallel; there is no cross-shard
-	// transaction, so on failure the error names the shard and rows on
-	// other shards may already be in (same applied-up-to contract as the
-	// single-node batch endpoint).
-	if err := rt.fanOutWrites(ctx, perShard, func(shard int, rows []map[string]json.RawMessage) error {
-		return rt.backends[shard].InsertRows(ctx, table, rows)
+	if err := fanOut(slices.Sorted(maps.Keys(perShard)), func(shard int) error {
+		return rt.backends[shard].InsertRows(ctx, table, perShard[shard])
 	}); err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: len(req.Rows)})
-}
-
-// fanOutWrites runs one write call per involved shard in parallel and joins
-// failures.
-func (rt *Router) fanOutWrites(ctx context.Context, perShard map[int][]map[string]json.RawMessage, call func(shard int, rows []map[string]json.RawMessage) error) error {
-	var wg sync.WaitGroup
-	errsMu := sync.Mutex{}
-	var errs []error
-	for shard, rows := range perShard {
-		wg.Add(1)
-		go func(shard int, rows []map[string]json.RawMessage) {
-			defer wg.Done()
-			if err := call(shard, rows); err != nil {
-				errsMu.Lock()
-				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-				errsMu.Unlock()
-			}
-		}(shard, rows)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -791,10 +792,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Route each op: inserts and pk-routed tables go straight to the owning
 	// shard; an update/delete on a table routed by a non-pk column is
 	// broadcast to every shard with ignore_missing — only the owner has the
-	// row, and the Matched totals verify afterwards that some shard did.
+	// row, and the shards' Missed lists verify afterwards that one did.
+	// opOf[shard][p] is the request index of perShard[shard][p]; forced
+	// marks the ops this router set ignore_missing on, which must still
+	// match on some shard.
 	perShard := map[int][]BatchOp{}
-	broadcasts := 0
+	opOf := map[int][]int{}
+	forced := make([]bool, len(req.Ops))
 	for i, op := range req.Ops {
+		op.Table = qualifyName(r, op.Table)
 		schema, err := rt.tableSchema(ctx, op.Table)
 		if err != nil {
 			writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
@@ -822,106 +828,107 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			perShard[shard] = append(perShard[shard], op)
+			opOf[shard] = append(opOf[shard], i)
 		case "update", "delete":
 			if op.PK == nil {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: %s requires \"pk\"", i, op.Op))
 				return
 			}
-			if col == schema.Columns[0].Name {
+			// A pk-routed table names its owner; so does a router over one
+			// shard, whatever the routing column.
+			if col == schema.Columns[0].Name || len(rt.backends) == 1 {
 				shard, err := rt.shardFor(*op.PK)
 				if err != nil {
 					writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
 					return
 				}
 				perShard[shard] = append(perShard[shard], op)
+				opOf[shard] = append(opOf[shard], i)
 				break
 			}
 			// Routed by a non-pk column the op does not carry: broadcast.
-			bop := op
-			bop.IgnoreMissing = true
-			broadcasts++
+			// An op the client already let miss may miss everywhere.
+			if !op.IgnoreMissing {
+				op.IgnoreMissing = true
+				forced[i] = true
+			}
 			for shard := range rt.backends {
 				if !rt.health[shard].up.Load() {
 					writeError(w, http.StatusServiceUnavailable,
 						fmt.Errorf("op %d: broadcast needs every shard, shard %d (%s) is down", i, shard, rt.backends[shard].Label()))
 					return
 				}
-				perShard[shard] = append(perShard[shard], bop)
+				perShard[shard] = append(perShard[shard], op)
+				opOf[shard] = append(opOf[shard], i)
 			}
 		default:
 			writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q (want insert, update or delete)", i, op.Op))
 			return
 		}
 	}
-	matched := atomic.Int64{}
-	var wg sync.WaitGroup
-	errsMu := sync.Mutex{}
-	var errs []error
-	for shard, ops := range perShard {
-		wg.Add(1)
-		go func(shard int, ops []BatchOp) {
-			defer wg.Done()
-			resp, err := rt.backends[shard].Batch(ctx, ops)
-			if err != nil {
-				errsMu.Lock()
-				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-				errsMu.Unlock()
-				return
-			}
-			matched.Add(int64(resp.Matched))
-		}(shard, ops)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	resps := make([]*BatchResponse, len(rt.backends))
+	if err := fanOut(slices.Sorted(maps.Keys(perShard)), func(shard int) (err error) {
+		resps[shard], err = rt.backends[shard].Batch(ctx, perShard[shard])
+		return err
+	}); err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
-	// Every routed op matched (or its shard's batch would have failed) and
-	// every broadcast op should have matched on exactly its owner, so a
-	// shortfall means some broadcast op's row exists on no shard at all.
-	if int(matched.Load()) < len(req.Ops) {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("router: %d op(s) matched no shard (row not found)", len(req.Ops)-int(matched.Load())))
-		return
+	// An op missed when every shard it went to missed it.
+	out := BatchResponse{Applied: len(req.Ops)}
+	sent := make([]int, len(req.Ops))
+	missed := make([]int, len(req.Ops))
+	for shard, resp := range resps {
+		if resp == nil {
+			continue
+		}
+		out.Matched += resp.Matched
+		for _, i := range opOf[shard] {
+			sent[i]++
+		}
+		for _, p := range resp.Missed {
+			if p < 0 || p >= len(opOf[shard]) {
+				writeError(w, http.StatusBadGateway, fmt.Errorf("shard %d: missed op %d of a %d-op batch", shard, p, len(opOf[shard])))
+				return
+			}
+			missed[opOf[shard][p]]++
+		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Applied: len(req.Ops), Matched: int(matched.Load())})
+	for i := range req.Ops {
+		if missed[i] == 0 || missed[i] < sent[i] {
+			continue
+		}
+		// A forced op's row is on no shard at all.  Every shard's batch is
+		// in by now, so the error names the op, not where the batch stopped.
+		if forced[i] {
+			writeError(w, http.StatusNotFound, fmt.Errorf("op %d: row not found on any shard", i))
+			return
+		}
+		out.Missed = append(out.Missed, i)
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // --- index & tenant lifecycle ------------------------------------------------------
 
-// requireAllShards verifies that every shard is currently healthy; index and
-// tenant lifecycle operations fan out to the whole cluster, and running one
-// with a shard missing would leave that shard permanently inconsistent with
-// the rest (searches scatter to every shard, so a shard without the index
-// would fail every query against it).
-func (rt *Router) requireAllShards() error {
+// everyShard returns every shard's index, for lifecycle operations that
+// fan out to the whole cluster.  It fails unless every shard is currently
+// healthy: running one with a shard missing would leave that shard
+// permanently inconsistent with the rest (searches scatter to every shard,
+// so a shard without the index would fail every query against it).
+func (rt *Router) everyShard() ([]int, error) {
+	all := make([]int, len(rt.backends))
 	for i := range rt.backends {
 		if !rt.health[i].up.Load() {
-			return &backendError{
+			return nil, &backendError{
 				status: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("router: lifecycle operation needs every shard, shard %d (%s) is down",
+				msg: fmt.Sprintf("server: lifecycle operation needs every shard, shard %d (%s) is down",
 					i, rt.backends[i].Label()),
 			}
 		}
+		all[i] = i
 	}
-	return nil
-}
-
-// fanOutLifecycle runs call on every shard in parallel and joins failures.
-func (rt *Router) fanOutLifecycle(call func(shard int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(rt.backends))
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := call(i); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return all, nil
 }
 
 // handleCreateIndex fans an online index build out to every shard.  Each
@@ -939,41 +946,40 @@ func (rt *Router) handleCreateIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Name = qualifyName(r, req.Name)
 	req.Table = qualifyName(r, req.Table)
-	if err := rt.requireAllShards(); err != nil {
+	all, err := rt.everyShard()
+	if err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
 	// No per-shard timeout here: a backfill over a large shard legitimately
 	// takes longer than a search round-trip, so only the client's own
 	// context bounds it.
-	if err := rt.fanOutLifecycle(func(shard int) error {
-		return rt.backends[shard].CreateIndex(r.Context(), req)
+	created := make([]*CreateIndexResponse, len(rt.backends))
+	if err := fanOut(all, func(shard int) (err error) {
+		created[shard], err = rt.backends[shard].CreateIndex(r.Context(), req)
+		return err
 	}); err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, CreateIndexResponse{
-		Name:   req.Name,
-		Table:  req.Table,
-		Column: req.Column,
-		Method: req.Method,
-	})
+	writeJSON(w, http.StatusCreated, created[0])
 }
 
 // handleDropIndex fans an index drop out to every shard.  A shard that no
 // longer has the index reports not_found, which the drop treats as success
-// on that shard (drops are idempotent); only if every shard misses does the
-// router answer 404.
+// on that shard (drops are idempotent); only if every shard misses is the
+// answer 404.
 func (rt *Router) handleDropIndex(w http.ResponseWriter, r *http.Request) {
 	name := qualifyName(r, r.PathValue("name"))
-	if err := rt.requireAllShards(); err != nil {
+	all, err := rt.everyShard()
+	if err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
-	missing := atomic.Int64{}
-	err := rt.fanOutLifecycle(func(shard int) error {
+	var missing atomic.Int64
+	err = fanOut(all, func(shard int) error {
 		err := rt.backends[shard].DropIndex(ctx, name)
 		var be *backendError
 		if errors.As(err, &be) && be.status == http.StatusNotFound {
@@ -987,39 +993,175 @@ func (rt *Router) handleDropIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if int(missing.Load()) == len(rt.backends) {
-		writeNotFound(w, "index", name, fmt.Errorf("router: no shard has an index named %q", name))
+		writeError(w, http.StatusNotFound, notFoundBackendErr("index", name, fmt.Errorf("server: no shard has an index named %q", name)))
 		return
 	}
 	writeJSON(w, http.StatusOK, DropIndexResponse{Dropped: name})
 }
 
 // handleCreateTenant fans a tenant registration out to every shard, so each
-// shard meters its own slice of the tenant's rows against the same quota.
+// shard meters its own slice of the tenant's rows against the same quota,
+// and replies with the tenant's status summed over the shards.
 func (rt *Router) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := rt.requireAllShards(); err != nil {
+	all, err := rt.everyShard()
+	if err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
-	if err := rt.fanOutLifecycle(func(shard int) error {
-		return rt.backends[shard].CreateTenant(ctx, req)
+	created := make([][]TenantStatus, len(rt.backends))
+	if err := fanOut(all, func(shard int) error {
+		st, err := rt.backends[shard].CreateTenant(ctx, req)
+		if err == nil {
+			created[shard] = []TenantStatus{*st}
+		}
+		return err
 	}); err != nil {
 		writeError(w, httpStatusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": req.Name})
+	writeJSON(w, http.StatusCreated, sumTenants(created)[0])
 }
 
-// handleChanges: a cross-shard change stream would need commit-ordered
-// merging across engines, which the scatter-gather layer does not provide;
+func (rt *Router) handleListTenants(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
+	defer cancel()
+	statuses, err := rt.tenants(ctx)
+	if err != nil {
+		writeError(w, httpStatusOf(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"tenants": statuses})
+}
+
+// tenants lists every tenant with its usage summed over the healthy shards.
+// On error it still returns the sum over the shards that answered.
+func (rt *Router) tenants(ctx context.Context) ([]TenantStatus, error) {
+	idxs := rt.healthyShards()
+	if len(idxs) == 0 {
+		return nil, errNoHealthyShards
+	}
+	lists := make([][]TenantStatus, len(idxs))
+	errs := make([]error, len(idxs))
+	parallel(len(idxs), func(j int) {
+		lists[j], errs[j] = rt.backends[idxs[j]].Tenants(ctx)
+	})
+	return sumTenants(lists), errors.Join(errs...)
+}
+
+// sumTenants folds per-shard tenant lists into one, sorted by name.  Every
+// shard holds the same quota and meters its own slice of the tenant's rows,
+// so the quota is any shard's and the usage is the sum.
+func sumTenants(lists [][]TenantStatus) []TenantStatus {
+	sums := map[string]TenantStatus{}
+	for _, list := range lists {
+		for _, st := range list {
+			if sum, seen := sums[st.Name]; seen {
+				sum.Rows += st.Rows
+				sum.Bytes += st.Bytes
+				st = sum
+			}
+			sums[st.Name] = st
+		}
+	}
+	out := make([]TenantStatus, 0, len(sums))
+	for _, name := range slices.Sorted(maps.Keys(sums)) {
+		out = append(out, sums[name])
+	}
+	return out
+}
+
+// --- change streams --------------------------------------------------------------
+
+// changeStreamBuffer bounds each subscriber's queue.  The table's listener
+// enqueues without blocking: a subscriber slower than the write rate loses
+// events and is told so via a lagged marker, rather than ever stalling the
+// engine's commit-ordered notification path.
+const changeStreamBuffer = 256
+
+// handleChanges streams a table's committed changes as NDJSON.  Only a
+// front end over one backend with the changeSource capability (an
+// in-process engine) can: a cross-shard stream would need commit-ordered
+// merging across engines, which scatter-gather does not provide, so
 // subscribers connect to the shard that owns their keys instead.
 func (rt *Router) handleChanges(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
-		errors.New("router: change streaming is per-shard; connect to a shard server directly"))
+	src, ok := rt.backends[0].(changeSource)
+	if len(rt.backends) != 1 || !ok {
+		writeError(w, http.StatusNotImplemented,
+			errors.New("server: change streaming is per-shard; connect to a shard server directly"))
+		return
+	}
+	table := qualifyName(r, r.URL.Query().Get("table"))
+	if table == "" {
+		writeError(w, http.StatusBadRequest, errors.New("query parameter \"table\" is required"))
+		return
+	}
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, errors.New("response writer does not support streaming"))
+		return
+	}
+	ch := make(chan relation.Change, changeStreamBuffer)
+	var lagged atomic.Bool
+	schema, cancel, err := src.subscribe(table, func(c relation.Change) {
+		select {
+		case ch <- c:
+		default:
+			lagged.Store(true)
+		}
+	})
+	if err != nil {
+		writeError(w, httpStatusOf(err), err)
+		return
+	}
+	defer cancel()
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	enc := json.NewEncoder(w)
+
+	// Streams end when the client disconnects, the server starts draining
+	// or the engine closes; the periodic tick bounds how long an idle
+	// stream can delay a graceful shutdown.
+	drainTick := time.NewTicker(250 * time.Millisecond)
+	defer drainTick.Stop()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-drainTick.C:
+			if rt.draining.Load() || rt.backends[0].Health(r.Context()) != nil {
+				return
+			}
+		case c := <-ch:
+			if lagged.Swap(false) {
+				if err := enc.Encode(ChangeEvent{Lagged: true}); err != nil {
+					return
+				}
+			}
+			ev := ChangeEvent{Table: c.Table, PK: c.PK}
+			switch c.Kind {
+			case relation.ChangeInsert:
+				ev.Kind = "insert"
+			case relation.ChangeUpdate:
+				ev.Kind = "update"
+			case relation.ChangeDelete:
+				ev.Kind = "delete"
+			}
+			if c.New != nil {
+				ev.Row = rowToJSON(schema, c.New)
+			}
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+			flusher.Flush()
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -317,12 +318,19 @@ func TestRouterDegradedUnderStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	var failures atomic.Int64
 	var sawPartial atomic.Int64
-	errCh := make(chan error, workers*perWorker)
+	var killed atomic.Bool
+	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for q := 0; q < perWorker; q++ {
+			// Query until perWorker requests have run after the kill, so
+			// the storm always straddles the shard's death however fast
+			// the searches are.
+			for after := 0; after < perWorker; {
+				if killed.Load() {
+					after++
+				}
 				status, data := postJSONNoFatal(base+"/v1/indexes/docs/search",
 					SearchRequest{Query: "alpha", K: 20, Disjunctive: true})
 				if status != http.StatusOK {
@@ -348,6 +356,7 @@ func TestRouterDegradedUnderStorm(t *testing.T) {
 	if err := shards[1].Close(); err != nil {
 		t.Fatal(err)
 	}
+	killed.Store(true)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -488,5 +497,49 @@ func TestHTTPBackendHedging(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
 		t.Errorf("hedged search took %v, should have beaten the 500ms straggler", elapsed)
+	}
+}
+
+// failOnceBackend is an in-process shard whose next search fails with a
+// plain engine error, which maps to a 500.
+type failOnceBackend struct {
+	*EngineBackend
+	fail atomic.Bool
+}
+
+func (b *failOnceBackend) Search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
+	if b.fail.Swap(false) {
+		return nil, errors.New("injected engine failure")
+	}
+	return b.EngineBackend.Search(ctx, index, req)
+}
+
+// TestRouterEngineErrorKeepsShardUp checks that an in-process engine's 5xx
+// is that request's error only: the shard stays up, so the next request is
+// served instead of a "no healthy shards" 503.
+func TestRouterEngineErrorKeepsShardUp(t *testing.T) {
+	_, shards := newShardedFixture(t, 20, 1)
+	b := &failOnceBackend{EngineBackend: NewEngineBackend("shard-0", shards[0], true)}
+	b.fail.Store(true)
+	rt, err := NewRouter([]Backend{b}, RouterOptions{HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := rt.Shutdown(context.Background()); err != nil {
+			t.Errorf("router shutdown: %v", err)
+		}
+	})
+	req := SearchRequest{Query: "alpha", K: 5}
+	if status, data := postJSON(t, ts.URL+"/v1/indexes/docs/search", req); status != http.StatusInternalServerError {
+		t.Fatalf("injected failure: status = %d (body %s), want 500", status, data)
+	}
+	if res := searchVia(t, ts.URL, "docs", req); len(res.Hits) == 0 {
+		t.Fatal("search after an engine error returned no hits")
+	}
+	if st, healthy := routerHealthz(t, ts.URL); st != "ok" || healthy != 1 {
+		t.Errorf("healthz after an engine error = %q with %d healthy, want ok with 1", st, healthy)
 	}
 }

@@ -1,25 +1,23 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"svrdb/internal/core"
-	"svrdb/internal/index"
 	"svrdb/internal/relation"
 )
 
-// Server exposes a core.Engine over an HTTP JSON API.  One Server owns one
-// engine: requests fan straight into the engine's goroutine-safe entry
-// points (TextIndex.Search, Engine.ApplyBatch), so the HTTP layer adds
-// routing, JSON codec work and metrics but no locking of its own.
+// Server is the single-node front end: a Router whose only shard is one
+// in-process engine.  Requests fan straight into the engine's
+// goroutine-safe entry points (TextIndex.Search, Engine.ApplyBatch), so the
+// HTTP layer adds routing, JSON codec work and metrics but no locking of
+// its own, and a single node serves exactly the API and bodies a sharded
+// deployment does.
 //
 // Lifecycle: New → Start (or Handler, for an external listener) → Shutdown.
 // Shutdown is graceful and rides the engine's drain machinery: new requests
@@ -29,55 +27,28 @@ import (
 // buffer-pool pin audit.  Within the shutdown context's deadline a request
 // never observes a closed engine; a straggler past the deadline hits the
 // engine's close fence and gets a clean 503 — never a torn response.
-//
-// The listener/drain machinery itself lives in lifecycle (shared with the
-// shard Router); Server contributes the engine-backed routes and passes
-// Engine.Close as the post-drain closer.
 type Server struct {
-	engine  *core.Engine
-	metrics *Registry
-	mux     *http.ServeMux
-	life    *lifecycle
+	*Router
+	engine *core.Engine
 }
 
-// Options configures a Server.
-type Options struct {
-	// ReadTimeout and WriteTimeout bound request parsing and response
-	// writing when the server owns the listener (Start).  Zero means no
-	// timeout, matching net/http.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-}
+// Options configures a Server: the router's options.  Over one backend the
+// shard settings have nothing to choose between.
+type Options = RouterOptions
 
-// New builds a Server over an engine.
+// New builds a Server over an engine; the server owns the engine and closes
+// it on Shutdown.  New panics if opts names an unknown partitioner, like a
+// bad flag: it is a wiring bug.
 func New(engine *core.Engine, opts Options) *Server {
-	s := &Server{
-		engine:  engine,
-		metrics: NewRegistry(),
-		mux:     http.NewServeMux(),
-		life:    newLifecycle(opts.ReadTimeout, opts.WriteTimeout),
+	rt, err := NewRouter([]Backend{NewEngineBackend("engine", engine, true)}, opts)
+	if err != nil {
+		panic(err)
 	}
-	s.routes()
-	return s
+	return &Server{Router: rt, engine: engine}
 }
 
-// Handler returns the server's root handler: the route mux behind the
-// draining fence.  Exposed so tests and embedding callers can serve it from
-// their own listener.
-func (s *Server) Handler() http.Handler {
-	return s.life.fence(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The mux's built-in 404/405 responses are plain text; the API
-		// contract says every non-2xx body is {"error":...} JSON, so those
-		// defaults are rewritten on the way out and recorded under a
-		// catch-all metrics label (they never reach an instrumented route).
-		jw := &jsonErrorWriter{ResponseWriter: w}
-		start := time.Now()
-		s.mux.ServeHTTP(jw, r)
-		if jw.rewrote {
-			s.metrics.Observe("(unmatched)", jw.status, time.Since(start))
-		}
-	}))
-}
+// Engine returns the engine the server fronts.
+func (s *Server) Engine() *core.Engine { return s.engine }
 
 // jsonErrorWriter rewrites net/http's plain-text 404 ("404 page not found")
 // and 405 ("Method Not Allowed") default bodies into the API's JSON error
@@ -115,59 +86,6 @@ func (w *jsonErrorWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Registry { return s.metrics }
-
-// Engine returns the engine the server fronts.
-func (s *Server) Engine() *core.Engine { return s.engine }
-
-// Start listens on addr (e.g. ":8080", or "127.0.0.1:0" for an ephemeral
-// port) and serves in a background goroutine.  It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	return s.life.start(addr, s.Handler())
-}
-
-// Done closes when the accept loop has exited — after Shutdown, or early if
-// Serve failed.  A daemon selects on it alongside its signal channel.
-func (s *Server) Done() <-chan struct{} { return s.life.done() }
-
-// ServeErr reports why the accept loop exited; it is meaningful once Done
-// is closed and nil for a clean shutdown.
-func (s *Server) ServeErr() error { return s.life.serveError() }
-
-// Shutdown drains and closes: the draining fence flips, in-flight handlers
-// finish (up to ctx), then Engine.Close drains the index locks, surfaces
-// maintenance errors, flushes dirty pages and audits buffer-pool pin
-// accounting.  Idempotent; concurrent and repeated calls return the first
-// call's result.
-func (s *Server) Shutdown(ctx context.Context) error {
-	return s.life.shutdown(ctx, func() error {
-		if err := s.engine.Close(); err != nil {
-			return fmt.Errorf("server: engine close: %w", err)
-		}
-		return nil
-	})
-}
-
-// routes installs every endpoint, instrumented with the metrics registry.
-func (s *Server) routes() {
-	register := func(pattern string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, s.metrics.instrument(pattern, h))
-	}
-	register("GET /healthz", s.handleHealthz)
-	register("GET /v1/stats", s.handleStats)
-	register("GET /v1/tables/{name}/schema", s.handleSchema)
-	register("POST /v1/indexes", s.handleCreateIndex)
-	register("DELETE /v1/indexes/{name}", s.handleDropIndex)
-	register("POST /v1/indexes/{name}/search", s.handleSearch)
-	register("POST /v1/indexes/{name}/termstats", s.handleTermStats)
-	register("POST /v1/tables/{name}/rows", s.handleInsertRows)
-	register("POST /v1/batch", s.handleBatch)
-	register("POST /v1/tenants", s.handleCreateTenant)
-	register("GET /v1/tenants", s.handleListTenants)
-	register("GET /v1/changes", s.handleChanges)
 }
 
 // tenantHeader carries the caller's tenant.  It namespaces unqualified
@@ -286,9 +204,9 @@ type BatchOp struct {
 	// Set carries the changed columns for update.
 	Set map[string]json.RawMessage `json:"set,omitempty"`
 	// IgnoreMissing makes an update or delete of an absent row a no-op
-	// instead of an error.  The shard router sets it when broadcasting an
-	// op to every shard (only the owner has the row; the rest must not
-	// fail the batch).
+	// instead of an error.  A router over several shards sets it when
+	// broadcasting an op to every shard (only the owner has the row; the
+	// rest must not fail the batch).
 	IgnoreMissing bool `json:"ignore_missing,omitempty"`
 }
 
@@ -298,17 +216,18 @@ type BatchRequest struct {
 }
 
 // BatchResponse reports how many operations were applied.  Matched counts
-// the ops whose target row existed here — with ignore_missing it can be
-// lower than Applied, which the router uses to tell "the owning shard took
-// it" from "no shard had that row".
+// the ops whose target row existed here; Missed lists, by position in the
+// request, the ignore_missing ops whose row did not.  A router uses Missed
+// to tell "the owning shard took it" from "no shard had that row".
 type BatchResponse struct {
-	Applied int `json:"applied"`
-	Matched int `json:"matched"`
+	Applied int   `json:"applied"`
+	Matched int   `json:"matched"`
+	Missed  []int `json:"missed,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx response.  Code, Resource and
 // Name are set on structured errors (today: every 404 for a missing index,
-// table or tenant, from both the single-engine server and the router), so
+// table or tenant, in every deployment), so
 // clients can distinguish "that index does not exist" from other failures
 // without parsing the human-readable message.
 type ErrorResponse struct {
@@ -386,118 +305,8 @@ type ChangeEvent struct {
 	Lagged bool           `json:"lagged,omitempty"`
 }
 
-// --- handlers --------------------------------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"uptime_seconds": s.metrics.Uptime().Seconds(),
-		"indexes":        s.engine.TextIndexNames(),
-	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	body := engineStatsPayload(s.engine)
-	body["uptime_seconds"] = s.metrics.Uptime().Seconds()
-	// Per-tenant latency cells live in the same registry under a label
-	// prefix; split them into the tenants section so the endpoints list
-	// stays per-route.
-	endpoints := make([]EndpointSnapshot, 0)
-	latencies := map[string]EndpointSnapshot{}
-	for _, snap := range s.metrics.Snapshot() {
-		if t, ok := strings.CutPrefix(snap.Route, tenantRoutePrefix); ok {
-			latencies[t] = snap
-			continue
-		}
-		endpoints = append(endpoints, snap)
-	}
-	body["endpoints"] = endpoints
-	tenants := make([]map[string]any, 0)
-	for _, st := range tenantStatuses(s.engine) {
-		entry := map[string]any{
-			"name":      st.Name,
-			"max_rows":  st.MaxRows,
-			"max_bytes": st.MaxBytes,
-			"rows":      st.Rows,
-			"bytes":     st.Bytes,
-		}
-		if lat, ok := latencies[st.Name]; ok {
-			entry["latency"] = lat
-		}
-		tenants = append(tenants, entry)
-	}
-	body["tenants"] = tenants
-	writeJSON(w, http.StatusOK, body)
-}
-
-// engineStatsPayload builds the engine half of the stats body: index,
-// buffer-pool, pagefile and durability counters.  The single-engine handler
-// adds uptime and endpoint metrics; the router serves it per shard under a
-// "shards" section and aggregates the totals.
-func engineStatsPayload(e *core.Engine) map[string]any {
-	indexes := map[string]any{}
-	for _, name := range e.TextIndexNames() {
-		ti, err := e.TextIndex(name)
-		if err != nil {
-			continue
-		}
-		st := ti.Stats()
-		ratio := 0.0
-		if st.LongListBytes > 0 && st.LongListRawBytes > 0 {
-			ratio = float64(st.LongListRawBytes) / float64(st.LongListBytes)
-		}
-		indexes[name] = map[string]any{
-			"method":                      st.Method,
-			"long_list_bytes":             st.LongListBytes,
-			"long_list_raw_bytes":         st.LongListRawBytes,
-			"compression_ratio":           ratio,
-			"pages_read":                  st.PagesRead,
-			"short_list_entries":          st.ShortListEntries,
-			"score_updates":               st.ScoreUpdates,
-			"short_list_postings_written": st.ShortListPostingsWritten,
-			"long_list_postings_written":  st.LongListPostingsWritten,
-			"queries":                     st.Queries,
-			"postings_scanned":            st.PostingsScanned,
-			"table_patches":               st.TablePatches,
-			"epoch":                       st.Epoch,
-			"active_readers":              st.ActiveReaders,
-			"retained_pages":              st.RetainedPages,
-		}
-	}
-	pool := e.Pool()
-	ps := pool.Stats()
-	fs := pool.File().Stats()
-	return map[string]any{
-		"indexes": indexes,
-		"pool": map[string]any{
-			"hits":          ps.Hits,
-			"misses":        ps.Misses,
-			"evictions":     ps.Evictions,
-			"flushes":       ps.Flushes,
-			"over_releases": ps.OverReleases,
-		},
-		"pagefile": map[string]any{
-			"reads":         fs.Reads,
-			"writes":        fs.Writes,
-			"allocs":        fs.Allocs,
-			"frees":         fs.Frees,
-			"reuses":        fs.Reuses,
-			"bytes_read":    fs.BytesRead,
-			"bytes_written": fs.BytesWritten,
-		},
-		"durability": map[string]any{
-			"commits":    fs.Commits,
-			"wal_bytes":  fs.WALBytes,
-			"fsyncs":     fs.Fsyncs,
-			"recoveries": fs.Recoveries,
-			"torn_pages": fs.TornPages,
-		},
-	}
-}
-
-// normalizeQuery folds the query/terms alternative into one query string and
-// bounds k, sharing the validation between the search and termstats
-// endpoints and the router.
+// normalizeQuery folds the query/terms alternative into one query string,
+// shared by the search and termstats endpoints and the engine backend.
 func normalizeQuery(query string, terms []string) (string, error) {
 	if query == "" {
 		if len(terms) == 0 {
@@ -522,580 +331,6 @@ func boundSearchK(k int) (int, error) {
 		return 0, fmt.Errorf("k must be between 1 and %d", maxSearchK)
 	}
 	return k, nil
-}
-
-// coreSearchRequest translates the JSON DTO into the engine's request type.
-func coreSearchRequest(query string, k int, req SearchRequest) core.SearchRequest {
-	creq := core.SearchRequest{
-		Query:          query,
-		K:              k,
-		Disjunctive:    req.Disjunctive,
-		WithTermScores: req.WithTermScores,
-		LoadRows:       req.LoadRows,
-	}
-	if req.Global != nil {
-		creq.Global = &index.GlobalStats{NumDocs: req.Global.NumDocs, DF: req.Global.DF}
-	}
-	return creq
-}
-
-// searchResponseFromResult renders an engine result as the wire response,
-// resolving rows through the index's base table schema when requested.
-func searchResponseFromResult(e *core.Engine, table string, res *core.SearchResult, loadRows bool) SearchResponse {
-	resp := SearchResponse{
-		Hits:            make([]SearchHit, len(res.Hits)),
-		PostingsScanned: res.PostingsScanned,
-		Stopped:         res.Stopped,
-		Partial:         res.Partial,
-	}
-	var schema relation.Schema
-	if loadRows {
-		if tbl, err := e.DB().Table(table); err == nil {
-			schema = tbl.Schema()
-		}
-	}
-	for i, h := range res.Hits {
-		resp.Hits[i] = SearchHit{PK: h.PK, Score: h.Score}
-		if h.Row != nil && len(schema.Columns) > 0 {
-			resp.Hits[i].Row = rowToJSON(schema, h.Row)
-		}
-	}
-	return resp
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	name := qualifyName(r, r.PathValue("name"))
-	ti, err := s.engine.TextIndex(name)
-	if err != nil {
-		writeNotFound(w, "index", name, err)
-		return
-	}
-	var req SearchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	query, err := normalizeQuery(req.Query, req.Terms)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	k, err := boundSearchK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := ti.Search(coreSearchRequest(query, k, req))
-	if err != nil {
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, searchResponseFromResult(s.engine, ti.Table(), res, req.LoadRows))
-}
-
-func (s *Server) handleTermStats(w http.ResponseWriter, r *http.Request) {
-	name := qualifyName(r, r.PathValue("name"))
-	ti, err := s.engine.TextIndex(name)
-	if err != nil {
-		writeNotFound(w, "index", name, err)
-		return
-	}
-	var req TermStatsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	query, err := normalizeQuery(req.Query, req.Terms)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	numDocs, df, err := ti.TermStats(query)
-	if err != nil {
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, TermStatsResponse{NumDocs: numDocs, DF: df})
-}
-
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	name := qualifyName(r, r.PathValue("name"))
-	tbl, err := s.engine.DB().Table(name)
-	if err != nil {
-		writeNotFound(w, "table", name, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, schemaResponse(name, tbl.Schema()))
-}
-
-func schemaResponse(table string, schema relation.Schema) SchemaResponse {
-	resp := SchemaResponse{Table: table, Columns: make([]SchemaColumn, len(schema.Columns))}
-	for i, col := range schema.Columns {
-		kind := "string"
-		switch col.Kind {
-		case relation.KindInt64:
-			kind = "int64"
-		case relation.KindFloat64:
-			kind = "float64"
-		}
-		resp.Columns[i] = SchemaColumn{Name: col.Name, Kind: kind}
-	}
-	return resp
-}
-
-// insertJSONRows decodes and inserts rows through one ApplyBatch; it is the
-// shared body of the rows endpoint and the router's engine backend.  Decode
-// errors surface as ErrInvalidRequest so both callers map them to 400.
-func insertJSONRows(e *core.Engine, table string, jsonRows []map[string]json.RawMessage) error {
-	tbl, err := e.DB().Table(table)
-	if err != nil {
-		return err
-	}
-	rows := make([]relation.Row, len(jsonRows))
-	for i, obj := range jsonRows {
-		row, err := rowFromJSON(tbl.Schema(), obj)
-		if err != nil {
-			return fmt.Errorf("%w: row %d: %s", core.ErrInvalidRequest, i, err)
-		}
-		rows[i] = row
-	}
-	// One ApplyBatch per request: the rows' index maintenance flushes
-	// through the batched write pipeline instead of one tree round-trip
-	// per row.  Rows are schema-validated above, but a runtime failure
-	// (e.g. a duplicate primary key) has no rollback — rows before the
-	// failing one stay inserted, and the error names where the batch
-	// stopped.  The quota pre-check runs under the batch lock before any
-	// mutation: an over-quota insert batch rejects atomically.
-	var pre func() error
-	if tenant := core.TenantOf(table); tenant != "" {
-		var addBytes int64
-		for _, row := range rows {
-			addBytes += int64(core.EncodedRowSize(row))
-		}
-		pre = func() error {
-			return e.CheckTenantQuota(tenant, int64(len(rows)), addBytes)
-		}
-	}
-	return e.ApplyBatchChecked(pre, func() error {
-		for i, row := range rows {
-			if err := tbl.Insert(row); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
-	var req InsertRowsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("\"rows\" must be a non-empty array"))
-		return
-	}
-	if err := insertJSONRows(s.engine, qualifyName(r, r.PathValue("name")), req.Rows); err != nil {
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: len(req.Rows)})
-}
-
-// applyJSONBatch binds and applies a batch of ops; it is the shared body of
-// the batch endpoint and the router's engine backend.  It returns how many
-// ops matched a row (inserts always match; ignore_missing updates and
-// deletes of absent rows do not).
-func applyJSONBatch(e *core.Engine, ops []BatchOp) (int, error) {
-	// Schema-validate and bind every op before mutating anything, so a
-	// malformed op (unknown table/column, wrong type, unknown op kind)
-	// rejects the batch before any write.  Runtime failures inside the
-	// batch (duplicate primary key, update/delete of a missing row) are a
-	// different matter: the engine has no rollback, so ops before the
-	// failing one stay applied and the error names the op that stopped the
-	// batch — clients must treat a non-2xx as "applied up to the named op".
-	matched := 0
-	bound := make([]boundOp, len(ops))
-	metered := false
-	for i, op := range ops {
-		b, err := bindOp(e, op, &matched)
-		if err != nil {
-			if !errors.Is(err, relation.ErrNotFound) {
-				err = fmt.Errorf("%w: %s", core.ErrInvalidRequest, err)
-			}
-			return 0, fmt.Errorf("op %d: %w", i, err)
-		}
-		bound[i] = b
-		metered = metered || b.tenant != ""
-	}
-	// Quota admission: under the batch lock (where no other batch can move
-	// usage), sum every metered tenant's projected row/byte delta and check
-	// it against its quota.  A failing check rejects the whole batch before
-	// any op runs, so one tenant's over-quota batch never half-applies and
-	// never disturbs other tenants' batches queued behind it.
-	var pre func() error
-	if metered {
-		pre = func() error {
-			type delta struct{ rows, bytes int64 }
-			perTenant := map[string]*delta{}
-			for _, b := range bound {
-				if b.tenant == "" {
-					continue
-				}
-				rows, bytes := b.delta()
-				d := perTenant[b.tenant]
-				if d == nil {
-					d = &delta{}
-					perTenant[b.tenant] = d
-				}
-				d.rows += rows
-				d.bytes += bytes
-			}
-			for tenant, d := range perTenant {
-				if err := e.CheckTenantQuota(tenant, d.rows, d.bytes); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	err := e.ApplyBatchChecked(pre, func() error {
-		for i, b := range bound {
-			if err := b.apply(); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return matched, nil
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("\"ops\" must be a non-empty array"))
-		return
-	}
-	for i := range req.Ops {
-		req.Ops[i].Table = qualifyName(r, req.Ops[i].Table)
-	}
-	matched, err := applyJSONBatch(s.engine, req.Ops)
-	if err != nil {
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Applied: len(req.Ops), Matched: matched})
-}
-
-// createJSONIndex validates a creation request and builds the index; shared
-// by the single-engine handler and the router's engine backend.
-func createJSONIndex(e *core.Engine, req CreateIndexRequest) error {
-	if req.Name == "" || req.Table == "" || req.Column == "" {
-		return fmt.Errorf("%w: \"name\", \"table\" and \"column\" are required", core.ErrInvalidRequest)
-	}
-	if req.Spec == "" {
-		return fmt.Errorf("%w: \"spec\" must name a registered score spec (one of %v)",
-			core.ErrInvalidRequest, e.SpecNames())
-	}
-	_, err := e.CreateTextIndex(req.Name, req.Table, req.Column, core.IndexOptions{
-		Method:         core.MethodKind(req.Method),
-		SpecName:       req.Spec,
-		ThresholdRatio: req.ThresholdRatio,
-		ChunkRatio:     req.ChunkRatio,
-		MinChunkSize:   req.MinChunkSize,
-		FancyListSize:  req.FancyListSize,
-	})
-	return err
-}
-
-func (s *Server) handleCreateIndex(w http.ResponseWriter, r *http.Request) {
-	var req CreateIndexRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req.Name = qualifyName(r, req.Name)
-	req.Table = qualifyName(r, req.Table)
-	if err := createJSONIndex(s.engine, req); err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
-			writeNotFound(w, "table", req.Table, err)
-			return
-		}
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	ti, err := s.engine.TextIndex(req.Name)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, CreateIndexResponse{
-		Name:   req.Name,
-		Table:  req.Table,
-		Column: req.Column,
-		Method: ti.Method().Name(),
-	})
-}
-
-func (s *Server) handleDropIndex(w http.ResponseWriter, r *http.Request) {
-	name := qualifyName(r, r.PathValue("name"))
-	if err := s.engine.DropTextIndex(name); err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
-			writeNotFound(w, "index", name, err)
-			return
-		}
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DropIndexResponse{Dropped: name})
-}
-
-func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
-	var req CreateTenantRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := createJSONTenant(s.engine, req); err != nil {
-		writeError(w, statusForEngineErr(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, tenantStatus(s.engine, req.Name))
-}
-
-// createJSONTenant registers the tenant and, on durable engines, persists
-// the registration immediately through an empty batch (the catalog commit
-// rides the batch path), so a quota survives a crash that follows it.
-func createJSONTenant(e *core.Engine, req CreateTenantRequest) error {
-	quota := core.TenantQuota{MaxRows: req.MaxRows, MaxBytes: req.MaxBytes}
-	if err := e.CreateTenant(req.Name, quota); err != nil {
-		return err
-	}
-	return e.ApplyBatch(func() error { return nil })
-}
-
-func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": tenantStatuses(s.engine)})
-}
-
-func tenantStatus(e *core.Engine, name string) TenantStatus {
-	quota, _ := e.TenantQuotaOf(name)
-	usage := e.TenantUsageOf(name)
-	return TenantStatus{
-		Name:     name,
-		MaxRows:  quota.MaxRows,
-		MaxBytes: quota.MaxBytes,
-		Rows:     usage.Rows,
-		Bytes:    usage.Bytes,
-	}
-}
-
-func tenantStatuses(e *core.Engine) []TenantStatus {
-	names := e.TenantNames()
-	out := make([]TenantStatus, len(names))
-	for i, n := range names {
-		out[i] = tenantStatus(e, n)
-	}
-	return out
-}
-
-// changeStreamBuffer bounds each subscriber's queue.  The table's listener
-// enqueues without blocking: a subscriber slower than the write rate loses
-// events and is told so via a lagged marker, rather than ever stalling the
-// engine's commit-ordered notification path.
-const changeStreamBuffer = 256
-
-func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
-	table := qualifyName(r, r.URL.Query().Get("table"))
-	if table == "" {
-		writeError(w, http.StatusBadRequest, errors.New("query parameter \"table\" is required"))
-		return
-	}
-	tbl, err := s.engine.DB().Table(table)
-	if err != nil {
-		writeNotFound(w, "table", table, err)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("response writer does not support streaming"))
-		return
-	}
-	schema := tbl.Schema()
-
-	ch := make(chan relation.Change, changeStreamBuffer)
-	var lagged atomic.Bool
-	handle := tbl.OnChange(func(c relation.Change) {
-		select {
-		case ch <- c:
-		default:
-			lagged.Store(true)
-		}
-	})
-	defer tbl.RemoveListener(handle)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	enc := json.NewEncoder(w)
-
-	// Streams end when the client disconnects or the server starts
-	// draining; the periodic tick bounds how long an idle stream can delay
-	// a graceful shutdown.
-	drainTick := time.NewTicker(250 * time.Millisecond)
-	defer drainTick.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-drainTick.C:
-			if s.life.isDraining() || s.engine.Closed() {
-				return
-			}
-		case c := <-ch:
-			if lagged.Swap(false) {
-				if err := enc.Encode(ChangeEvent{Lagged: true}); err != nil {
-					return
-				}
-			}
-			ev := ChangeEvent{Table: c.Table, PK: c.PK}
-			switch c.Kind {
-			case relation.ChangeInsert:
-				ev.Kind = "insert"
-			case relation.ChangeUpdate:
-				ev.Kind = "update"
-			case relation.ChangeDelete:
-				ev.Kind = "delete"
-			}
-			if c.New != nil {
-				ev.Row = rowToJSON(schema, c.New)
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
-}
-
-// boundOp is one schema-validated batch op: the closure that applies it,
-// plus — for ops on tenant-namespaced tables — the tenant it is metered
-// against and a delta function projecting its row/byte footprint change.
-// delta is only called under the batch lock, where the rows it reads cannot
-// move before apply runs.
-type boundOp struct {
-	apply  func() error
-	tenant string
-	delta  func() (rows, bytes int64)
-}
-
-// bindOp resolves one batch op against the schema and returns the closure
-// that applies it.  matched is incremented by the closure when the op finds
-// its target row.
-func bindOp(e *core.Engine, op BatchOp, matched *int) (boundOp, error) {
-	tbl, err := e.DB().Table(op.Table)
-	if err != nil {
-		return boundOp{}, err
-	}
-	b := boundOp{tenant: core.TenantOf(op.Table)}
-	switch op.Op {
-	case "insert":
-		if op.Row == nil {
-			return boundOp{}, errors.New("insert requires \"row\"")
-		}
-		row, err := rowFromJSON(tbl.Schema(), op.Row)
-		if err != nil {
-			return boundOp{}, err
-		}
-		b.delta = func() (int64, int64) { return 1, int64(core.EncodedRowSize(row)) }
-		b.apply = func() error {
-			if err := tbl.Insert(row); err != nil {
-				return err
-			}
-			*matched++
-			return nil
-		}
-		return b, nil
-	case "update":
-		if op.PK == nil {
-			return boundOp{}, errors.New("update requires \"pk\"")
-		}
-		if len(op.Set) == 0 {
-			return boundOp{}, errors.New("update requires a non-empty \"set\"")
-		}
-		set, err := setFromJSON(tbl.Schema(), op.Set)
-		if err != nil {
-			return boundOp{}, err
-		}
-		pk, ignore := *op.PK, op.IgnoreMissing
-		b.delta = func() (int64, int64) {
-			old, err := tbl.Get(pk)
-			if err != nil {
-				return 0, 0
-			}
-			updated := applySet(tbl.Schema(), old, set)
-			return 0, int64(core.EncodedRowSize(updated)) - int64(core.EncodedRowSize(old))
-		}
-		b.apply = func() error {
-			err := tbl.Update(pk, set)
-			if err == nil {
-				*matched++
-				return nil
-			}
-			if ignore && errors.Is(err, relation.ErrNotFound) {
-				return nil
-			}
-			return err
-		}
-		return b, nil
-	case "delete":
-		if op.PK == nil {
-			return boundOp{}, errors.New("delete requires \"pk\"")
-		}
-		pk, ignore := *op.PK, op.IgnoreMissing
-		b.delta = func() (int64, int64) {
-			old, err := tbl.Get(pk)
-			if err != nil {
-				return 0, 0
-			}
-			return -1, -int64(core.EncodedRowSize(old))
-		}
-		b.apply = func() error {
-			err := tbl.Delete(pk)
-			if err == nil {
-				*matched++
-				return nil
-			}
-			if ignore && errors.Is(err, relation.ErrNotFound) {
-				return nil
-			}
-			return err
-		}
-		return b, nil
-	default:
-		return boundOp{}, fmt.Errorf("unknown op %q (want insert, update or delete)", op.Op)
-	}
-}
-
-// applySet projects an update onto a copy of a row, for quota byte-delta
-// estimation; unknown columns were already rejected by setFromJSON.
-func applySet(schema relation.Schema, old relation.Row, set map[string]relation.Value) relation.Row {
-	updated := make(relation.Row, len(old))
-	copy(updated, old)
-	for name, v := range set {
-		if idx, err := schema.ColumnIndex(name); err == nil && idx < len(updated) {
-			updated[idx] = v
-		}
-	}
-	return updated
 }
 
 // --- JSON plumbing ---------------------------------------------------------------
@@ -1132,27 +367,14 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	// A backend that already produced a structured error body (a shard's
-	// 404, say) has it forwarded verbatim, so router responses carry the
-	// same shape as single-engine ones.
+	// 404, say) has it forwarded verbatim, so a remote shard's error reaches
+	// the client in the shape an in-process one has.
 	var be *backendError
 	if errors.As(err, &be) && be.resp != nil {
 		writeJSON(w, status, *be.resp)
 		return
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-// writeNotFound writes the structured 404 body: both the single-engine
-// server and the router emit this exact shape for a missing index, table or
-// tenant, so clients (and the router tests) can rely on it regardless of
-// deployment mode.
-func writeNotFound(w http.ResponseWriter, resource, name string, err error) {
-	writeJSON(w, http.StatusNotFound, ErrorResponse{
-		Error:    err.Error(),
-		Code:     "not_found",
-		Resource: resource,
-		Name:     name,
-	})
 }
 
 // statusForEngineErr maps engine errors onto HTTP statuses: a request the

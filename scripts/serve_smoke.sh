@@ -4,7 +4,7 @@
 # subscription + stats scrape over real HTTP, then SIGTERM it and assert a
 # clean graceful shutdown (drain + engine close with its pin audit).  A
 # durability leg SIGKILLs a -data daemon and asserts WAL recovery; a router
-# leg fronts two shard servers with -router, SIGKILLs one shard and asserts
+# leg fronts two shard servers with -backends, SIGKILLs one shard and asserts
 # degraded-but-serving, restarts it and asserts full recovery, then runs an
 # online index create/query/drop through the router under a concurrent
 # search storm that must see zero failures.  CI runs this on every push; it
@@ -190,7 +190,7 @@ SPID0=$!
 SPID1=$!
 SADDR0=$(wait_addr "$SLOG0") || { echo "shard 0 never started" >&2; exit 1; }
 SADDR1=$(wait_addr "$SLOG1") || { echo "shard 1 never started" >&2; exit 1; }
-"$BIN" -addr 127.0.0.1:0 -router -backends "http://$SADDR0,http://$SADDR1" -hedge 250ms >"$RLOG" 2>&1 &
+"$BIN" -addr 127.0.0.1:0 -backends "http://$SADDR0,http://$SADDR1" -hedge 250ms >"$RLOG" 2>&1 &
 RPID=$!
 RADDR=$(wait_addr "$RLOG") || { echo "router never started" >&2; exit 1; }
 
@@ -241,6 +241,18 @@ echo "$POST_RECOVERY" | grep -q '"partial"' && { echo "recovered cluster still p
 echo "--- routed write reaches the owning shard through the router"
 curl -fsS -d '{"ops":[{"op":"update","table":"Statistics","pk":7,"set":{"nVisit":9000}}]}' \
   "http://$RADDR/v1/batch" | grep -q '"applied":1'
+
+echo "--- broadcast write by pk on a table routed by mID"
+# Reviews route by mID, which an update by pk does not carry: the router
+# broadcasts it, the shard that holds no such row reports a miss (not a 404),
+# and a pk that no shard holds is a 404.
+curl -fsS -d '{"rows":[{"rID":900002,"mID":7,"rating":1}]}' \
+  "http://$RADDR/v1/tables/Reviews/rows" | grep -q '"inserted":1'
+curl -fsS -d '{"ops":[{"op":"update","table":"Reviews","pk":900002,"set":{"rating":4}}]}' \
+  "http://$RADDR/v1/batch" | grep -q '"matched":1'
+MISSING_STATUS=$(curl -sS -o /dev/null -w '%{http_code}' \
+  -d '{"ops":[{"op":"delete","table":"Reviews","pk":987654321}]}' "http://$RADDR/v1/batch")
+[ "$MISSING_STATUS" = 404 ] || { echo "broadcast delete of a missing pk: status $MISSING_STATUS, want 404" >&2; exit 1; }
 
 echo "--- online index lifecycle through the router under concurrent searches"
 SEARCH_FAILS=$(mktemp)
