@@ -192,7 +192,7 @@ func Registry() []Experiment {
 		{ID: "tenants", Paper: "§5 (multi-tenant serving)", Description: "Multi-tenant isolation: small-tenant search p50/p99 idle vs a hot tenant's update storm on the same engine, gated at 2x idle p99 where cores allow", Run: RunTenants},
 		{ID: "archive", Paper: "§5.3.7", Description: "Archive-style (real-data analogue) workload across methods", Run: RunArchive},
 		{ID: "coldstart", Paper: "§5.2 (serving methodology)", Description: "Durable cold start: open+warm time and on-disk size overhead vs the in-memory pagefile", Run: RunColdstart},
-		{ID: "compression", Paper: "§5.2 (storage layout)", Description: "Posting-block compression vs the legacy layouts: stored bytes, ratio, cold-query time and pages per query", Run: RunCompression},
+		{ID: "compression", Paper: "§5.2 (storage layout)", Description: "Posting-block compression: stored vs fixed-width bytes, ratio, cold-query time and pages per query", Run: RunCompression},
 		{ID: "ablation-chunking", Paper: "§4.3.2 (design choice)", Description: "Chunk-boundary policy ablation: score-ratio vs uniform boundaries", Run: RunChunkPolicyAblation},
 		{ID: "ablation-fancy", Paper: "§4.3.3 (design choice)", Description: "Fancy-list length ablation for Chunk-TermScore", Run: RunFancyListAblation},
 	}

@@ -15,7 +15,9 @@ import (
 	"svrdb/internal/view"
 )
 
-// catalogVersion is bumped when the catalog encoding changes.
+// catalogVersion is bumped when the catalog encoding changes.  Dropping a
+// field does not change it: gob skips encoded fields the destination
+// struct lacks, so catalogs that still carry a removed field decode.
 const catalogVersion = 1
 
 // catalogIndexEntry records one text index in the catalog: its identity, the
@@ -32,7 +34,6 @@ type catalogIndexEntry struct {
 	ChunkRatio     float64
 	MinChunkSize   int
 	FancyListSize  int
-	Uncompressed   bool
 
 	View   view.State
 	Method index.MethodState
@@ -187,7 +188,6 @@ func (e *Engine) buildCatalog() *catalog {
 			ChunkRatio:     ti.cfg.ChunkRatio,
 			MinChunkSize:   ti.cfg.MinChunkSize,
 			FancyListSize:  ti.cfg.FancyListSize,
-			Uncompressed:   ti.cfg.Uncompressed,
 			View:           ti.view.State(),
 			Method:         ti.method.State(),
 		}
@@ -370,7 +370,6 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		ChunkRatio:     ent.ChunkRatio,
 		MinChunkSize:   ent.MinChunkSize,
 		FancyListSize:  ent.FancyListSize,
-		Uncompressed:   ent.Uncompressed,
 	}
 	method, err := index.Restore(cfg, ent.Method)
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -419,5 +421,32 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 					batchRan, batchCommitted)
 			}
 		})
+	}
+}
+
+// TestCatalogWithRemovedFieldDecodes pins the reason catalogVersion stayed
+// 1 when catalogIndexEntry lost its long-list encoding flag: gob skips the
+// field, so a catalog written with it still decodes.
+func TestCatalogWithRemovedFieldDecodes(t *testing.T) {
+	type oldEntry struct {
+		Name          string
+		FancyListSize int
+		Uncompressed  bool
+	}
+	type oldCatalog struct {
+		Version int
+		Indexes []oldEntry
+	}
+	var buf bytes.Buffer
+	old := oldCatalog{Version: catalogVersion, Indexes: []oldEntry{{Name: "movies_desc", FancyListSize: 32, Uncompressed: true}}}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var cat catalog
+	if err := gob.NewDecoder(&buf).Decode(&cat); err != nil {
+		t.Fatalf("decode catalog with a removed field: %v", err)
+	}
+	if cat.Version != catalogVersion || len(cat.Indexes) != 1 || cat.Indexes[0].Name != "movies_desc" || cat.Indexes[0].FancyListSize != 32 {
+		t.Fatalf("decoded catalog = %+v", cat)
 	}
 }

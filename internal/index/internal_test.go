@@ -254,14 +254,16 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	cur := kl.Cursor("term", false)
 	count := 0
 	prevKey := float64(1 << 30)
+	var one [1]postings.Entry
 	for {
-		e, ok, err := cur.Next()
+		n, err := cur.NextBatch(one[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
+		e := one[0]
 		if e.SortKey > prevKey {
 			t.Fatalf("cursor order violated: %v after %v", e.SortKey, prevKey)
 		}
@@ -276,7 +278,7 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	}
 	// Cursor over an absent term terminates immediately.
 	empty := kl.Cursor("absent", false)
-	if _, ok, _ := empty.Next(); ok {
+	if n, _ := empty.NextBatch(one[:]); n != 0 {
 		t.Error("cursor over absent term yielded a posting")
 	}
 }
@@ -362,41 +364,23 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for name, drain := range map[string]func(*treeCursor) (int, error){
-			"next": func(c *treeCursor) (int, error) {
-				count := 0
-				for {
-					_, ok, err := c.Next()
-					if err != nil || !ok {
-						return count, err
-					}
-					count++
-					if count > n {
-						return count, nil
-					}
+		// Batch size 1 steps the cursor one posting at a time.
+		for _, size := range []int{1, 100} {
+			c := kl.Cursor("term", false)
+			buf := make([]postings.Entry, size)
+			count := 0
+			for count <= n {
+				got, err := c.NextBatch(buf)
+				if err != nil {
+					t.Fatal(err)
 				}
-			},
-			"batch": func(c *treeCursor) (int, error) {
-				count := 0
-				buf := make([]postings.Entry, 100)
-				for {
-					got, err := c.NextBatch(buf)
-					if err != nil || got == 0 {
-						return count, err
-					}
-					count += got
-					if count > n {
-						return count, nil
-					}
+				if got == 0 {
+					break
 				}
-			},
-		} {
-			count, err := drain(kl.Cursor("term", false))
-			if err != nil {
-				t.Fatal(err)
+				count += got
 			}
 			if count != n {
-				t.Errorf("%s: cursor with %d postings yielded %d", name, n, count)
+				t.Errorf("batch %d: cursor with %d postings yielded %d", size, n, count)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ type MethodState struct {
 
 	// ScoreDir is the Score-Threshold method's score directory: the distinct
 	// build-time scores in descending order that its compressed long lists
-	// encode ranks against.  Nil for other methods or uncompressed builds.
+	// encode ranks against.  Nil for other methods.
 	ScoreDir []float64
 
 	// Fancy-list anchors (Chunk-TermScore only).

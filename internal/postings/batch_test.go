@@ -2,15 +2,17 @@ package postings
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
 // This file holds the property tests for the block-at-a-time protocol: for
-// every long-list layout and every combinator, batched iteration and
-// single-step iteration must produce byte-identical entry streams, for any
-// batch buffer size.
+// every long-list layout and every combinator, draining with any batch
+// buffer size — one entry at a time included — must reproduce the
+// reference entry stream: the builder's input for the decoders, refMerge,
+// refCollapse and refGroups for the combinators.
 
 // collectBatchSize drains src with a fixed batch buffer size.
 func collectBatchSize(t *testing.T, src BatchIterator, size int) []Entry {
@@ -29,13 +31,15 @@ func collectBatchSize(t *testing.T, src BatchIterator, size int) []Entry {
 	}
 }
 
-func collectSingle(t *testing.T, it Iterator) []Entry {
-	t.Helper()
-	out, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
+// oneAtATime hands out at most one entry per NextBatch call, so the
+// combinators are also driven by inputs that return short batches.
+type oneAtATime struct{ src BatchIterator }
+
+func (o oneAtATime) NextBatch(buf []Entry) (int, error) {
+	if len(buf) > 1 {
+		buf = buf[:1]
 	}
-	return out
+	return o.src.NextBatch(buf)
 }
 
 func sameEntries(t *testing.T, label string, got, want []Entry) {
@@ -67,25 +71,31 @@ func randomAscendingDocs(rng *rand.Rand, n int) []DocID {
 	return docs
 }
 
-// layoutCase builds one encoded long list and its two decoders.
+// layoutCase is one encoded long list and the entries it must decode to;
+// dir is the score directory of the "score" case.
 type layoutCase struct {
 	name string
 	data []byte
+	want []Entry
+	dir  []float64
 }
 
 func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 	t.Helper()
 	var cases []layoutCase
 
-	idb := NewIDListBuilder()
+	idb := NewBlockIDListBuilder()
+	var idWant []Entry
 	for _, d := range randomAscendingDocs(rng, n) {
 		if err := idb.Add(d); err != nil {
 			t.Fatal(err)
 		}
+		idWant = append(idWant, Entry{Doc: d})
 	}
-	cases = append(cases, layoutCase{name: "id", data: idb.Bytes()})
+	cases = append(cases, layoutCase{name: "id", data: idb.Bytes(), want: idWant})
 
-	sb := NewScoreListBuilder()
+	var docs []DocID
+	var scores []float64
 	score := 1e9
 	lastDoc := DocID(0)
 	for i := 0; i < n; i++ {
@@ -94,51 +104,64 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 			lastDoc = 0
 		}
 		lastDoc += DocID(1 + rng.Intn(1000))
-		if err := sb.Add(lastDoc, score); err != nil {
+		docs = append(docs, lastDoc)
+		scores = append(scores, score)
+	}
+	dir := BuildScoreDir(scores)
+	sb := NewBlockScoreListBuilder(dir)
+	for i := range docs {
+		if err := sb.Add(docs[i], scores[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cases = append(cases, layoutCase{name: "score", data: sb.Bytes()})
+	cases = append(cases, layoutCase{name: "score", data: sb.Bytes(), want: scoreEntries(docs, scores), dir: dir})
 
 	for _, withTerm := range []bool{false, true} {
-		var cb *ChunkedListBuilder
+		cb := NewBlockChunkedListBuilder(withTerm)
 		name := "chunk"
 		if withTerm {
-			cb = NewChunkedTermListBuilder()
 			name = "chunk-term"
-		} else {
-			cb = NewChunkedListBuilder()
 		}
+		var chunks []testChunk
 		cid := int32(1000)
 		remaining := n
 		for remaining > 0 {
 			sz := 1 + rng.Intn(remaining)
 			posts := make([]ChunkPosting, 0, sz)
 			for _, d := range randomAscendingDocs(rng, sz) {
-				posts = append(posts, ChunkPosting{Doc: d, TermScore: rng.Float32()})
+				p := ChunkPosting{Doc: d}
+				if withTerm {
+					p.TermScore = rng.Float32()
+				}
+				posts = append(posts, p)
 			}
 			if err := cb.AddChunk(cid, posts); err != nil {
 				t.Fatal(err)
 			}
+			chunks = append(chunks, testChunk{cid: cid, posts: posts})
 			cid -= int32(1 + rng.Intn(5))
 			remaining -= sz
 		}
-		cases = append(cases, layoutCase{name: name, data: cb.Bytes()})
+		cases = append(cases, layoutCase{name: name, data: cb.Bytes(), want: chunkEntries(chunks)})
 	}
 
-	itb := NewIDTermListBuilder()
+	itb := NewBlockIDTermListBuilder()
+	var itWant []Entry
 	for _, d := range randomAscendingDocs(rng, n) {
-		if err := itb.Add(d, rng.Float32()); err != nil {
+		w := rng.Float32()
+		if err := itb.Add(d, w); err != nil {
 			t.Fatal(err)
 		}
+		itWant = append(itWant, Entry{Doc: d, TermScore: w})
 	}
-	cases = append(cases, layoutCase{name: "id-term", data: itb.Bytes()})
+	cases = append(cases, layoutCase{name: "id-term", data: itb.Bytes(), want: itWant})
 
 	return cases
 }
 
-// streamFor decodes data with the matching stream decoder.
-func streamFor(t *testing.T, name string, data []byte) BatchIterator {
+// streamFor decodes data with the matching stream decoder; dir is the
+// score directory of a "score" blob.
+func streamFor(t *testing.T, name string, data []byte, dir []float64) BatchIterator {
 	t.Helper()
 	r := bytes.NewReader(data)
 	var (
@@ -149,7 +172,7 @@ func streamFor(t *testing.T, name string, data []byte) BatchIterator {
 	case "id":
 		s, err = NewStreamIDList(r)
 	case "score":
-		s, err = NewStreamScoreList(r)
+		s, err = NewStreamScoreListDir(r, dir)
 	case "chunk", "chunk-term":
 		s, err = NewStreamChunkedList(r)
 	case "id-term":
@@ -163,55 +186,20 @@ func streamFor(t *testing.T, name string, data []byte) BatchIterator {
 	return s
 }
 
-// memoryIteratorFor decodes data with the in-memory (slice) decoder, which
-// only implements the single-step protocol.
-func memoryIteratorFor(t *testing.T, name string, data []byte) Iterator {
-	t.Helper()
-	var (
-		it  Iterator
-		err error
-	)
-	switch name {
-	case "id":
-		it, err = NewIDListIterator(data)
-	case "score":
-		it, err = NewScoreListIterator(data)
-	case "chunk", "chunk-term":
-		it, err = NewChunkedListIterator(data)
-	case "id-term":
-		it, err = NewIDTermListIterator(data)
-	default:
-		t.Fatalf("unknown layout %q", name)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it
-}
-
+// TestLayoutBatchedMatchesSingleStep drains every layout one entry at a
+// time (batch size 1) and in larger batches; every drain must equal the
+// builder's input.
 func TestLayoutBatchedMatchesSingleStep(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		n := rng.Intn(700) // includes empty lists
 		for _, c := range buildLayoutCases(t, rng, n) {
-			// Reference stream: the in-memory decoder stepped one entry at a
-			// time — a fully independent decode path.
-			want := collectSingle(t, memoryIteratorFor(t, c.name, c.data))
-			// Single-step over the streaming decoder.
-			got := collectSingle(t, asIterator(streamFor(t, c.name, c.data)))
-			sameEntries(t, c.name+"/stream-single", got, want)
-			// Batched over the streaming decoder, various buffer sizes.
 			for _, size := range batchSizes {
-				got := collectBatchSize(t, streamFor(t, c.name, c.data), size)
-				sameEntries(t, c.name+"/stream-batched", got, want)
+				got := collectBatchSize(t, streamFor(t, c.name, c.data, c.dir), size)
+				sameEntries(t, fmt.Sprintf("%s/batch %d", c.name, size), got, c.want)
 			}
 		}
 	}
-}
-
-// asIterator views a BatchIterator that also implements Iterator as such.
-func asIterator(b BatchIterator) Iterator {
-	return b.(Iterator)
 }
 
 // --- combinator equivalence ----------------------------------------------------
@@ -301,22 +289,20 @@ func TestUnionBatchedMatchesReference(t *testing.T) {
 		mk := func(single bool) []BatchIterator {
 			srcs := make([]BatchIterator, k)
 			for i := range streams {
+				srcs[i] = NewSliceIterator(streams[i])
 				if single {
-					srcs[i] = SingleStep{It: NewSliceIterator(streams[i])}
-				} else {
-					srcs[i] = NewSliceIterator(streams[i])
+					srcs[i] = oneAtATime{srcs[i]}
 				}
 			}
 			return srcs
 		}
 
-		got := collectSingle(t, NewUnion(mk(false)...))
-		sameEntries(t, "union/next", got, want)
-		got = collectSingle(t, NewUnion(mk(true)...))
-		sameEntries(t, "union/next-singlestep-inputs", got, want)
 		for _, size := range batchSizes {
 			u := NewUnion(mk(false)...)
 			sameEntries(t, "union/batched", collectBatchSize(t, u, size), want)
+			u.Close()
+			u = NewUnion(mk(true)...)
+			sameEntries(t, "union/one-at-a-time-inputs", collectBatchSize(t, u, size), want)
 			u.Close()
 		}
 	}
@@ -332,8 +318,6 @@ func TestCollapseOpsBatchedMatchesReference(t *testing.T) {
 		build := func() *CollapseOps {
 			return NewCollapseOps(NewUnion(NewSliceIterator(short), NewSliceIterator(long)))
 		}
-		got := collectSingle(t, build())
-		sameEntries(t, "collapse/next", got, want)
 		for _, size := range batchSizes {
 			c := build()
 			sameEntries(t, "collapse/batched", collectBatchSize(t, c, size), want)
@@ -463,26 +447,27 @@ func TestGroupMergerBatchedMatchesReference(t *testing.T) {
 		m.Close()
 
 		for i := range streams {
-			srcs[i] = SingleStep{It: NewSliceIterator(streams[i])}
+			srcs[i] = oneAtATime{NewSliceIterator(streams[i])}
 		}
 		m = NewGroupMerger(srcs...)
-		sameGroups(t, "groups/singlestep-inputs", collectGroups(t, m), want)
+		sameGroups(t, "groups/one-at-a-time-inputs", collectGroups(t, m), want)
 		m.Close()
 	}
 }
 
 // TestPipelineBatchedMatchesSingleStep runs the full per-term read pipeline —
-// stream-decoded long list ∪ short list, collapsed — in both protocols and
-// requires identical output, including ADD/REM short-list interleavings that
-// cancel long-list postings.
+// stream-decoded long list ∪ short list, collapsed — with production-size
+// batches and one entry at a time, and requires the reference output for
+// both, including ADD/REM short-list interleavings that cancel long-list
+// postings.
 func TestPipelineBatchedMatchesSingleStep(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(400 + trial)))
 
 		// Long list: a score-ordered stream layout.
-		sb := NewScoreListBuilder()
+		var docs []DocID
+		var scores []float64
 		score := 1000.0
-		var longEntries []Entry
 		lastDoc := DocID(0)
 		for i := 0; i < 60+rng.Intn(200); i++ {
 			if rng.Intn(3) > 0 || i == 0 {
@@ -490,12 +475,18 @@ func TestPipelineBatchedMatchesSingleStep(t *testing.T) {
 				lastDoc = 0
 			}
 			lastDoc += DocID(1 + rng.Intn(50))
-			if err := sb.Add(lastDoc, score); err != nil {
+			docs = append(docs, lastDoc)
+			scores = append(scores, score)
+		}
+		dir := BuildScoreDir(scores)
+		sb := NewBlockScoreListBuilder(dir)
+		for i := range docs {
+			if err := sb.Add(docs[i], scores[i]); err != nil {
 				t.Fatal(err)
 			}
-			longEntries = append(longEntries, Entry{Doc: lastDoc, SortKey: score})
 		}
 		data := sb.Bytes()
+		longEntries := scoreEntries(docs, scores)
 
 		// Short list: entries colliding with long-list positions, some REMs.
 		var short []Entry
@@ -512,12 +503,12 @@ func TestPipelineBatchedMatchesSingleStep(t *testing.T) {
 
 		want := refCollapse(refMerge(short, longEntries))
 
-		long := streamFor(t, "score", data)
+		long := streamFor(t, "score", data, dir)
 		batched := collectBatchSize(t, NewCollapseOps(NewUnion(NewSliceIterator(short), long)), BatchSize)
 		sameEntries(t, "pipeline/batched", batched, want)
 
-		longSingle := SingleStep{It: asIterator(streamFor(t, "score", data))}
-		single := collectSingle(t, NewCollapseOps(NewUnion(SingleStep{It: NewSliceIterator(short)}, longSingle)))
+		longSingle := oneAtATime{streamFor(t, "score", data, dir)}
+		single := collectBatchSize(t, NewCollapseOps(NewUnion(oneAtATime{NewSliceIterator(short)}, longSingle)), 1)
 		sameEntries(t, "pipeline/single", single, want)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"svrdb/internal/codec"
 )
 
-// Compressed posting blocks.
+// Posting blocks: the one on-disk encoding of every long-list layout.
 //
-// Every long-list layout has a second, compressed encoding built from
-// fixed-capacity blocks of up to blockCap postings.  A compressed blob is
+// A list is built from fixed-capacity blocks of up to blockCap postings.  A
+// blob is
 //
 //	magic byte 0x00
 //	version<<4 | layout byte
@@ -46,13 +46,10 @@ import (
 // offset).  Bodies restart from absolute values, so a block decodes
 // without any state from its predecessors.
 //
-// The magic byte cannot collide with the legacy encodings: their first
-// byte is the uvarint posting count, which for a non-empty list is never
-// 0x00, and the legacy empty lists (a bare 0x00, or 0x00 0x00 flag for the
-// chunked layouts) decode as empty lists under either interpretation
-// because the version/layout byte distinguishes them.  The stream
-// constructors dispatch on this byte, so old uncompressed blobs keep
-// decoding forever.
+// A reader accepts a blob only if it starts with the magic byte, then
+// version 1 and a layout tag its constructor expects (see newStream).  Any
+// other header is an error, including the zero-byte blob: no builder
+// writes one, because even an empty list carries its 3- or 4-byte header.
 //
 // Per-layout bodies:
 //
@@ -80,7 +77,7 @@ import (
 // back to raw float64s.
 
 const (
-	// blockMagic marks a compressed blob; legacy blobs never start with it.
+	// blockMagic is the first byte of every posting-block blob.
 	blockMagic = 0x00
 	// blockVersion is the posting-block format version, stored in the high
 	// nibble of the second byte.
@@ -108,79 +105,9 @@ const (
 	layoutChunkTerm
 )
 
-// --- build-side encoder protocol ----------------------------------------------
-
-// IDListEncoder is the build-side protocol for the ID layout, satisfied by
-// both IDListBuilder (legacy) and BlockIDListBuilder (compressed).
-type IDListEncoder interface {
-	Add(doc DocID) error
-	Len() int
-	Bytes() []byte
-}
-
-// IDTermListEncoder is the build-side protocol for the ID+term layout.
-type IDTermListEncoder interface {
-	Add(doc DocID, termScore float32) error
-	Len() int
-	Bytes() []byte
-}
-
-// ScoreListEncoder is the build-side protocol for the score layout.
-type ScoreListEncoder interface {
-	Add(doc DocID, score float64) error
-	Len() int
-	Bytes() []byte
-}
-
-// ChunkedListEncoder is the build-side protocol for the chunked layouts.
-type ChunkedListEncoder interface {
-	AddChunk(cid int32, posts []ChunkPosting) error
-	Len() int
-	Chunks() int
-	Bytes() []byte
-}
-
-// NewIDEncoder returns an ID-layout encoder, compressed or legacy.
-func NewIDEncoder(compressed bool) IDListEncoder {
-	if compressed {
-		return NewBlockIDListBuilder()
-	}
-	return NewIDListBuilder()
-}
-
-// NewIDTermEncoder returns an ID+term-layout encoder, compressed or legacy.
-func NewIDTermEncoder(compressed bool) IDTermListEncoder {
-	if compressed {
-		return NewBlockIDTermListBuilder()
-	}
-	return NewIDTermListBuilder()
-}
-
-// NewScoreEncoder returns a score-layout encoder.  The compressed encoder
-// writes ranks into dir (see BuildScoreDir); the decoder must be given the
-// same directory.
-func NewScoreEncoder(compressed bool, dir []float64) ScoreListEncoder {
-	if compressed {
-		return NewBlockScoreListBuilder(dir)
-	}
-	return NewScoreListBuilder()
-}
-
-// NewChunkedEncoder returns a chunked-layout encoder, with or without
-// per-posting term weights.
-func NewChunkedEncoder(compressed, withTerm bool) ChunkedListEncoder {
-	if compressed {
-		return NewBlockChunkedListBuilder(withTerm)
-	}
-	if withTerm {
-		return NewChunkedTermListBuilder()
-	}
-	return NewChunkedListBuilder()
-}
-
 // BuildScoreDir returns the sorted-descending distinct values of scores:
-// the per-build score directory the compressed score layout encodes ranks
-// into.  Both the encoder and the decoder must use the same directory.
+// the per-build score directory the score layout encodes ranks into.  Both
+// the encoder and the decoder must use the same directory.
 func BuildScoreDir(scores []float64) []float64 {
 	if len(scores) == 0 {
 		return nil
@@ -350,7 +277,7 @@ func decodeWeights(body []byte, off int, out []Entry) (int, error) {
 	return off + plen, nil
 }
 
-// --- compressed builders --------------------------------------------------------
+// --- builders ------------------------------------------------------------------
 
 // blockIDCore is the shared encoder for the ID and ID+term layouts.
 type blockIDCore struct {
@@ -745,97 +672,40 @@ func (b *BlockChunkedListBuilder) Bytes() []byte {
 	return append(out, b.out...)
 }
 
-// --- compressed decoder ---------------------------------------------------------
+// --- decoder ------------------------------------------------------------------
 
-// blockHeader is one decoded skip header.
+// blockHeader is one decoded skip header.  Only the doc range is kept: it
+// is what SeekDoc skips by and where an ID body starts.  The score and
+// chunk layouts' key summaries are consumed, not retained.
 type blockHeader struct {
 	n        int
 	bodyLen  int
 	firstDoc DocID
 	lastDoc  DocID
-	firstKey float64
-	lastKey  float64
-	firstCID int32
-	lastCID  int32
 }
 
-// blockList decodes a compressed blob of any layout, one whole block at a
-// time into an inline scratch array.  The stream wrappers in stream.go
-// delegate to it when the blob carries the compressed magic.
-type blockList struct {
-	br        *blockReader
-	layout    byte
-	count     int
-	chunks    int
-	dir       []float64
-	decoded   int
-	superLeft int // postings remaining in the open super-block
-	pos       int
-	entries   []Entry
-	arr       [blockCap]Entry
-	err       error
-}
-
-// newBlockList consumes the compressed blob header from br (whose next
-// byte is known to be blockMagic) and returns the decoder.  A bare magic
-// byte with nothing after it is the legacy empty list.
-func newBlockList(br *blockReader, dir []float64) (*blockList, error) {
-	if _, err := br.byte(); err != nil {
-		return nil, err
-	}
-	vl, err := br.byte()
-	if err != nil {
-		return &blockList{br: br}, nil
-	}
-	if vl == 0 {
-		// Legacy empty chunked list: count 0, chunk count 0, flag byte.
-		// Its first two bytes are 0x00 0x00; nothing follows but the flag,
-		// so the list is empty under either interpretation.
-		return &blockList{br: br}, nil
-	}
-	if vl>>4 != blockVersion {
-		return nil, fmt.Errorf("postings: unknown posting block version %d", vl>>4)
-	}
-	layout := vl & 0x0f
-	if layout < layoutID || layout > layoutChunkTerm {
-		return nil, fmt.Errorf("postings: unknown posting block layout %d", layout)
-	}
-	d := &blockList{br: br, layout: layout, dir: dir}
-	cnt, err := br.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("postings: posting block count: %w", err)
-	}
-	d.count = int(cnt)
-	if layout == layoutChunk || layout == layoutChunkTerm {
-		ch, err := br.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("postings: posting block chunk count: %w", err)
-		}
-		d.chunks = int(ch)
-	}
-	return d, nil
-}
-
-func (d *blockList) readScoreKey() (float64, error) {
+// skipScoreKey consumes one key of a score-layout skip header, checking
+// that a rank lies inside the score directory.
+func (d *Stream) skipScoreKey() error {
 	c, err := d.br.uvarint()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if c == 0 {
-		return d.br.float64()
+		_, err := d.br.float64()
+		return err
 	}
-	r := int(c - 1)
-	if r >= len(d.dir) {
-		return 0, fmt.Errorf("%w: score rank %d outside directory of %d", codec.ErrCorrupt, r, len(d.dir))
+	if c-1 >= uint64(len(d.dir)) {
+		return fmt.Errorf("%w: score rank %d outside directory of %d", codec.ErrCorrupt, c-1, len(d.dir))
 	}
-	return d.dir[r], nil
+	return nil
 }
 
 // readHeader decodes one skip header.  The same shape frames both levels:
 // max is the posting bound the frame must respect — what remains of the
 // list for a super-block, what remains of the super-block (capped at
 // blockCap) for a block.
-func (d *blockList) readHeader(max int) (blockHeader, error) {
+func (d *Stream) readHeader(max int) (blockHeader, error) {
 	var h blockHeader
 	nv, err := d.br.uvarint()
 	if err != nil {
@@ -858,34 +728,31 @@ func (d *blockList) readHeader(max int) (blockHeader, error) {
 		h.firstDoc = DocID(f)
 		h.lastDoc = DocID(f + span)
 	case layoutScore:
-		if h.firstKey, err = d.readScoreKey(); err != nil {
-			return h, err
-		}
-		if h.lastKey, err = d.readScoreKey(); err != nil {
-			return h, err
+		for k := 0; k < 2; k++ {
+			if err := d.skipScoreKey(); err != nil {
+				return h, err
+			}
 		}
 	case layoutChunk, layoutChunkTerm:
-		f, err := d.br.uvarint()
-		if err != nil {
-			return h, err
+		for k := 0; k < 2; k++ {
+			if _, err := d.br.uvarint(); err != nil {
+				return h, err
+			}
 		}
-		span, err := d.br.uvarint()
-		if err != nil {
-			return h, err
-		}
-		h.firstCID = int32(uint32(f))
-		h.lastCID = int32(int64(h.firstCID) - int64(span))
 	}
 	bl, err := d.br.uvarint()
 	if err != nil {
 		return h, err
+	}
+	if bl > math.MaxInt32 {
+		return h, fmt.Errorf("%w: frame of %d bytes", codec.ErrCorrupt, bl)
 	}
 	h.bodyLen = int(bl)
 	return h, nil
 }
 
 // loadBlock decodes the block under h into the scratch array.
-func (d *blockList) loadBlock(h blockHeader) error {
+func (d *Stream) loadBlock(h blockHeader) error {
 	body, err := d.br.view(h.bodyLen)
 	if err != nil {
 		return err
@@ -944,7 +811,7 @@ func decodeDocGaps(body []byte, off int, first DocID, out []Entry) (int, error) 
 	return off + plen, nil
 }
 
-func (d *blockList) decodeScoreBody(body []byte, out []Entry) error {
+func (d *Stream) decodeScoreBody(body []byte, out []Entry) error {
 	off := 0
 	prevRank := -1
 	for i := range out {
@@ -961,15 +828,15 @@ func (d *blockList) decodeScoreBody(body []byte, out []Entry) error {
 			off += sz
 			prevRank = -1
 		} else {
-			r := int(c - 1)
+			r := c - 1
 			if prevRank >= 0 {
-				r = prevRank + int(c-1)
+				r += uint64(prevRank)
 			}
-			if r >= len(d.dir) {
+			if r >= uint64(len(d.dir)) {
 				return fmt.Errorf("%w: score rank %d outside directory of %d", codec.ErrCorrupt, r, len(d.dir))
 			}
 			s = d.dir[r]
-			prevRank = r
+			prevRank = int(r)
 		}
 		doc, sz, err := codec.Uvarint(body[off:])
 		if err != nil {
@@ -981,7 +848,7 @@ func (d *blockList) decodeScoreBody(body []byte, out []Entry) error {
 	return nil
 }
 
-func (d *blockList) decodeChunkBody(body []byte, out []Entry) error {
+func (d *Stream) decodeChunkBody(body []byte, out []Entry) error {
 	n := len(out)
 	off := 0
 	first := true
@@ -1003,7 +870,7 @@ func (d *blockList) decodeChunkBody(body []byte, out []Entry) error {
 			return err
 		}
 		off += sz
-		if segN < 1 || i+int(segN) > n {
+		if segN < 1 || segN > uint64(n-i) {
 			return fmt.Errorf("%w: segment of %d postings at %d of %d", codec.ErrCorrupt, segN, i, n)
 		}
 		fd, sz, err := codec.Uvarint(body[off:])
@@ -1031,133 +898,9 @@ func (d *blockList) decodeChunkBody(body []byte, out []Entry) error {
 
 // blockMax caps a block frame's posting bound at what remains of the open
 // super-block.
-func (d *blockList) blockMax() int {
+func (d *Stream) blockMax() int {
 	if d.superLeft < blockCap {
 		return d.superLeft
 	}
 	return blockCap
-}
-
-// NextBatch implements BatchIterator.
-func (d *blockList) NextBatch(out []Entry) (int, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
-	n := 0
-	for n < len(out) {
-		if d.pos < len(d.entries) {
-			c := copy(out[n:], d.entries[d.pos:])
-			d.pos += c
-			n += c
-			continue
-		}
-		if d.decoded >= d.count {
-			break
-		}
-		if d.superLeft == 0 {
-			sh, err := d.readHeader(d.count - d.decoded)
-			if err != nil {
-				d.err = fmt.Errorf("postings: posting super-block: %w", err)
-				return n, d.err
-			}
-			d.superLeft = sh.n
-			continue
-		}
-		h, err := d.readHeader(d.blockMax())
-		if err == nil {
-			err = d.loadBlock(h)
-		}
-		if err != nil {
-			d.err = fmt.Errorf("postings: posting block: %w", err)
-			return n, d.err
-		}
-		d.superLeft -= h.n
-	}
-	return n, nil
-}
-
-// seekUntil advances the decoder so the next entry returned is the first
-// for which keep reports true.  The skip headers prove, without decoding,
-// that a frame cannot contain such an entry: a skipped block saves its
-// body's decode, and a skipped super-block additionally saves the page
-// reads of its multi-page span (the blob reader advances by offset).  If
-// no entry qualifies the decoder is left exhausted.
-func (d *blockList) seekUntil(skipFrame func(*blockHeader) bool, keep func(*Entry) bool) error {
-	if d.err != nil {
-		return d.err
-	}
-	fail := func(level string, err error) error {
-		d.err = fmt.Errorf("postings: posting %s: %w", level, err)
-		return d.err
-	}
-	for {
-		for d.pos < len(d.entries) {
-			if keep(&d.entries[d.pos]) {
-				return nil
-			}
-			d.pos++
-		}
-		if d.decoded >= d.count {
-			return nil
-		}
-		if d.superLeft == 0 {
-			sh, err := d.readHeader(d.count - d.decoded)
-			if err != nil {
-				return fail("super-block", err)
-			}
-			if skipFrame(&sh) {
-				if err := d.br.skip(sh.bodyLen); err != nil {
-					return fail("super-block", err)
-				}
-				d.decoded += sh.n
-				continue
-			}
-			d.superLeft = sh.n
-			continue
-		}
-		h, err := d.readHeader(d.blockMax())
-		if err != nil {
-			return fail("block", err)
-		}
-		if skipFrame(&h) {
-			if err := d.br.skip(h.bodyLen); err != nil {
-				return fail("block", err)
-			}
-			d.decoded += h.n
-			d.superLeft -= h.n
-			d.entries = nil
-			d.pos = 0
-			continue
-		}
-		if err := d.loadBlock(h); err != nil {
-			return fail("block", err)
-		}
-		d.superLeft -= h.n
-	}
-}
-
-// seekDoc positions at the first entry with Doc >= doc (ID layouts).
-func (d *blockList) seekDoc(doc DocID) error {
-	return d.seekUntil(
-		func(h *blockHeader) bool { return h.lastDoc < doc },
-		func(e *Entry) bool { return e.Doc >= doc },
-	)
-}
-
-// seekScoreLE positions at the first entry with SortKey <= s (score layout,
-// which sorts descending by score).
-func (d *blockList) seekScoreLE(s float64) error {
-	return d.seekUntil(
-		func(h *blockHeader) bool { return h.lastKey > s },
-		func(e *Entry) bool { return e.SortKey <= s },
-	)
-}
-
-// seekChunkLE positions at the first entry with CID <= cid (chunk layouts,
-// which sort descending by chunk ID).
-func (d *blockList) seekChunkLE(cid int32) error {
-	return d.seekUntil(
-		func(h *blockHeader) bool { return h.lastCID > cid },
-		func(e *Entry) bool { return e.CID <= cid },
-	)
 }

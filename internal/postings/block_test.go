@@ -2,6 +2,8 @@ package postings
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -10,11 +12,11 @@ import (
 	"svrdb/internal/storage/pagefile"
 )
 
-// Property tests: every compressed layout must decode to exactly the same
-// entry stream as its legacy encoding, under every list shape the builders
-// accept — including sizes straddling the block capacity, dense runs,
-// sparse runs, dictionary-friendly and dictionary-busting term weights,
-// and scores inside and outside the score directory.
+// Property tests: every layout must decode to exactly the entries its
+// builder was given, under every list shape the builders accept —
+// including sizes straddling the block capacity, dense runs, sparse runs,
+// dictionary-friendly and dictionary-busting term weights, and scores
+// inside and outside the score directory — and for every batch size.
 
 // collectAll drains a BatchIterator through odd-sized batches so block
 // boundaries and batch boundaries interleave.
@@ -31,6 +33,22 @@ func collectAll(t *testing.T, it BatchIterator) []Entry {
 			return out
 		}
 		out = append(out, buf[:n]...)
+	}
+}
+
+// requireDecodes opens data with open once per batch size and requires
+// each drain to equal want.
+func requireDecodes(t *testing.T, what string, data []byte, want []Entry, open func(io.Reader) (*Stream, error)) {
+	t.Helper()
+	for _, size := range batchSizes {
+		s, err := open(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", what, s.Len(), len(want))
+		}
+		requireSameEntries(t, want, collectBatchSize(t, s, size), fmt.Sprintf("%s (batch %d)", what, size))
 	}
 }
 
@@ -64,35 +82,23 @@ func genDocs(rng *rand.Rand, n int, dense bool) []DocID {
 	return docs
 }
 
-func TestBlockIDListMatchesLegacy(t *testing.T) {
+func TestBlockIDListMatchesInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, size := range listSizes {
 		for _, dense := range []bool{true, false} {
 			docs := genDocs(rng, size, dense)
-			legacy, comp := NewIDListBuilder(), NewBlockIDListBuilder()
+			b := NewBlockIDListBuilder()
+			want := make([]Entry, 0, size)
 			for _, d := range docs {
-				if err := legacy.Add(d); err != nil {
+				if err := b.Add(d); err != nil {
 					t.Fatal(err)
 				}
-				if err := comp.Add(d); err != nil {
-					t.Fatal(err)
-				}
+				want = append(want, Entry{Doc: d})
 			}
-			if legacy.Len() != comp.Len() {
-				t.Fatalf("Len = %d, want %d", comp.Len(), legacy.Len())
+			if b.Len() != size {
+				t.Fatalf("Len = %d, want %d", b.Len(), size)
 			}
-			li, err := NewStreamIDList(bytes.NewReader(legacy.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ci, err := NewStreamIDList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if li.Len() != ci.Len() {
-				t.Fatalf("stream Len = %d, want %d", ci.Len(), li.Len())
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "id list")
+			requireDecodes(t, "id list", b.Bytes(), want, NewStreamIDList)
 		}
 	}
 }
@@ -109,30 +115,21 @@ func genWeights(rng *rand.Rand, n int, dictFriendly bool) []float32 {
 	return ws
 }
 
-func TestBlockIDTermListMatchesLegacy(t *testing.T) {
+func TestBlockIDTermListMatchesInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, size := range listSizes {
 		for _, dictFriendly := range []bool{true, false} {
 			docs := genDocs(rng, size, false)
 			ws := genWeights(rng, size, dictFriendly)
-			legacy, comp := NewIDTermListBuilder(), NewBlockIDTermListBuilder()
+			b := NewBlockIDTermListBuilder()
+			want := make([]Entry, 0, size)
 			for i, d := range docs {
-				if err := legacy.Add(d, ws[i]); err != nil {
+				if err := b.Add(d, ws[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := comp.Add(d, ws[i]); err != nil {
-					t.Fatal(err)
-				}
+				want = append(want, Entry{Doc: d, TermScore: ws[i]})
 			}
-			li, err := NewStreamIDTermList(bytes.NewReader(legacy.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ci, err := NewStreamIDTermList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "id+term list")
+			requireDecodes(t, "id+term list", b.Bytes(), want, NewStreamIDTermList)
 		}
 	}
 }
@@ -172,30 +169,29 @@ func scorePool(rng *rand.Rand, n int) []float64 {
 	return pool
 }
 
-func TestBlockScoreListMatchesLegacy(t *testing.T) {
+// scoreEntries is the decoded form of genScorePostings' output.
+func scoreEntries(docs []DocID, scores []float64) []Entry {
+	out := make([]Entry, len(docs))
+	for i := range docs {
+		out[i] = Entry{Doc: docs[i], SortKey: scores[i]}
+	}
+	return out
+}
+
+func TestBlockScoreListMatchesInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pool := scorePool(rng, 500)
 	dir := BuildScoreDir(pool)
+	open := func(r io.Reader) (*Stream, error) { return NewStreamScoreListDir(r, dir) }
 	for _, size := range listSizes {
 		docs, scores := genScorePostings(rng, size, pool)
-		legacy, comp := NewScoreListBuilder(), NewBlockScoreListBuilder(dir)
+		b := NewBlockScoreListBuilder(dir)
 		for i := range docs {
-			if err := legacy.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := comp.Add(docs[i], scores[i]); err != nil {
+			if err := b.Add(docs[i], scores[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		li, err := NewStreamScoreList(bytes.NewReader(legacy.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ci, err := NewStreamScoreListDir(bytes.NewReader(comp.Bytes()), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "score list")
+		requireDecodes(t, "score list", b.Bytes(), scoreEntries(docs, scores), open)
 	}
 }
 
@@ -229,78 +225,72 @@ func genChunks(rng *rand.Rand, totalPostings int, withTerm bool) []testChunk {
 	return chunks
 }
 
-func TestBlockChunkedListMatchesLegacy(t *testing.T) {
+// chunkEntries is the decoded form of a chunked list built from chunks.
+func chunkEntries(chunks []testChunk) []Entry {
+	var out []Entry
+	for _, c := range chunks {
+		for _, p := range c.posts {
+			out = append(out, Entry{Doc: p.Doc, CID: c.cid, SortKey: float64(c.cid), TermScore: p.TermScore})
+		}
+	}
+	return out
+}
+
+func TestBlockChunkedListMatchesInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range listSizes {
 		for _, withTerm := range []bool{false, true} {
 			chunks := genChunks(rng, size, withTerm)
-			legacy := NewChunkedEncoder(false, withTerm)
-			comp := NewChunkedEncoder(true, withTerm)
+			b := NewBlockChunkedListBuilder(withTerm)
 			for _, c := range chunks {
-				if err := legacy.AddChunk(c.cid, c.posts); err != nil {
-					t.Fatal(err)
-				}
-				if err := comp.AddChunk(c.cid, c.posts); err != nil {
+				if err := b.AddChunk(c.cid, c.posts); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if legacy.Len() != comp.Len() || legacy.Chunks() != comp.Chunks() {
-				t.Fatalf("Len/Chunks = %d/%d, want %d/%d", comp.Len(), comp.Chunks(), legacy.Len(), legacy.Chunks())
+			if b.Len() != size || b.Chunks() != len(chunks) {
+				t.Fatalf("Len/Chunks = %d/%d, want %d/%d", b.Len(), b.Chunks(), size, len(chunks))
 			}
-			li, err := NewStreamChunkedList(bytes.NewReader(legacy.Bytes()))
+			data := b.Bytes()
+			requireDecodes(t, "chunked list", data, chunkEntries(chunks), NewStreamChunkedList)
+			s, err := NewStreamChunkedList(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ci, err := NewStreamChunkedList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			if s.NumChunks() != len(chunks) {
+				t.Fatalf("NumChunks = %d, want %d", s.NumChunks(), len(chunks))
 			}
-			if li.NumChunks() != ci.NumChunks() {
-				t.Fatalf("NumChunks = %d, want %d", ci.NumChunks(), li.NumChunks())
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "chunked list")
 		}
 	}
 }
 
 // TestBlockCombinatorsOverCompressed drives the k-way combinators with
-// compressed inputs on one side and legacy inputs on the other and
-// requires identical output — the hot read paths must not be able to tell
-// the encodings apart.
+// decoded score lists as inputs and requires the reference merge, collapse
+// and grouping of the builders' input entries — block boundaries must be
+// invisible to the hot read paths.
 func TestBlockCombinatorsOverCompressed(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pool := scorePool(rng, 200)
 	dir := BuildScoreDir(pool)
 
 	const k = 5
-	var legacyBlobs, compBlobs [][]byte
+	var blobs [][]byte
+	var inputs [][]Entry
 	for s := 0; s < k; s++ {
 		docs, scores := genScorePostings(rng, 700+rng.Intn(600), pool)
-		legacy, comp := NewScoreListBuilder(), NewBlockScoreListBuilder(dir)
+		b := NewBlockScoreListBuilder(dir)
 		for i := range docs {
-			if err := legacy.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := comp.Add(docs[i], scores[i]); err != nil {
+			if err := b.Add(docs[i], scores[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		legacyBlobs = append(legacyBlobs, legacy.Bytes())
-		compBlobs = append(compBlobs, comp.Bytes())
+		blobs = append(blobs, b.Bytes())
+		inputs = append(inputs, scoreEntries(docs, scores))
 	}
 
-	open := func(blobs [][]byte, withDir bool) []BatchIterator {
+	open := func() []BatchIterator {
 		its := make([]BatchIterator, len(blobs))
 		for i, b := range blobs {
-			var (
-				it  BatchIterator
-				err error
-			)
-			if withDir {
-				it, err = NewStreamScoreListDir(bytes.NewReader(b), dir)
-			} else {
-				it, err = NewStreamScoreList(bytes.NewReader(b))
-			}
+			it, err := NewStreamScoreListDir(bytes.NewReader(b), dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,44 +300,19 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 	}
 
 	t.Run("union+collapse", func(t *testing.T) {
-		want := collectAll(t, NewCollapseOps(NewUnion(open(legacyBlobs, false)...)))
-		got := collectAll(t, NewCollapseOps(NewUnion(open(compBlobs, true)...)))
+		want := refCollapse(refMerge(inputs...))
+		got := collectAll(t, NewCollapseOps(NewUnion(open()...)))
 		requireSameEntries(t, want, got, "collapsed union")
 	})
 
 	t.Run("group-merger", func(t *testing.T) {
-		wm := NewGroupMerger(open(legacyBlobs, false)...)
-		gm := NewGroupMerger(open(compBlobs, true)...)
-		for {
-			wg, wok, err := wm.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gg, gok, err := gm.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wok != gok {
-				t.Fatalf("group streams diverge: legacy ok=%v compressed ok=%v", wok, gok)
-			}
-			if !wok {
-				return
-			}
-			if wg.Doc != gg.Doc || wg.SortKey != gg.SortKey || wg.Count != gg.Count {
-				t.Fatalf("group = (%d, %g, %d), want (%d, %g, %d)", gg.Doc, gg.SortKey, gg.Count, wg.Doc, wg.SortKey, wg.Count)
-			}
-			for i := range wg.Present {
-				if wg.Present[i] != gg.Present[i] || (wg.Present[i] && wg.Entries[i] != gg.Entries[i]) {
-					t.Fatalf("group member %d = %+v/%v, want %+v/%v", i, gg.Entries[i], gg.Present[i], wg.Entries[i], wg.Present[i])
-				}
-			}
-		}
+		sameGroups(t, "groups", collectGroups(t, NewGroupMerger(open()...)), refGroups(inputs...))
 	})
 }
 
-// TestBlockSeekModel checks every seek method against a model: seeking to
-// a random target and draining must equal linearly scanning the full list
-// and dropping entries until the seek predicate holds.
+// TestBlockSeekModel checks SeekDoc against a model: seeking to a random
+// target and draining must equal the builder's input with every entry
+// before the target dropped.
 func TestBlockSeekModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 
@@ -360,23 +325,18 @@ func TestBlockSeekModel(t *testing.T) {
 			}
 		}
 		data := b.Bytes()
-		full, err := NewStreamIDList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+		all := make([]Entry, len(docs))
+		for i, d := range docs {
+			all[i] = Entry{Doc: d}
 		}
-		all := collectAll(t, full)
 		for trial := 0; trial < 50; trial++ {
 			target := DocID(rng.Int63n(int64(docs[len(docs)-1]) + 1000))
 			it, err := NewStreamIDList(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := it.SeekDoc(target)
-			if err != nil {
+			if err := it.SeekDoc(target); err != nil {
 				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
 			}
 			var want []Entry
 			for _, e := range all {
@@ -398,7 +358,7 @@ func TestBlockSeekModel(t *testing.T) {
 		steps := 0
 		for {
 			target += DocID(rng.Int63n(2000) + 1)
-			if _, err := it.SeekDoc(target); err != nil {
+			if err := it.SeekDoc(target); err != nil {
 				t.Fatal(err)
 			}
 			n, err := it.NextBatch(one[:])
@@ -426,82 +386,6 @@ func TestBlockSeekModel(t *testing.T) {
 		}
 		if steps == 0 {
 			t.Fatal("monotone seek walk returned nothing")
-		}
-	})
-
-	t.Run("score", func(t *testing.T) {
-		pool := scorePool(rng, 300)
-		dir := BuildScoreDir(pool)
-		docs, scores := genScorePostings(rng, 3000, pool)
-		b := NewBlockScoreListBuilder(dir)
-		for i := range docs {
-			if err := b.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data := b.Bytes()
-		full, err := NewStreamScoreListDir(bytes.NewReader(data), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := collectAll(t, full)
-		for trial := 0; trial < 50; trial++ {
-			target := all[rng.Intn(len(all))].SortKey + float64(rng.Intn(3)-1)
-			it, err := NewStreamScoreListDir(bytes.NewReader(data), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, err := it.SeekScoreLE(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
-			}
-			var want []Entry
-			for _, e := range all {
-				if e.SortKey <= target {
-					want = append(want, e)
-				}
-			}
-			requireSameEntries(t, want, collectAll(t, it), "seek score")
-		}
-	})
-
-	t.Run("chunk", func(t *testing.T) {
-		chunks := genChunks(rng, 3000, true)
-		b := NewBlockChunkedListBuilder(true)
-		for _, c := range chunks {
-			if err := b.AddChunk(c.cid, c.posts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data := b.Bytes()
-		full, err := NewStreamChunkedList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := collectAll(t, full)
-		for trial := 0; trial < 50; trial++ {
-			target := all[rng.Intn(len(all))].CID + int32(rng.Intn(100)-50)
-			it, err := NewStreamChunkedList(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, err := it.SeekChunkLE(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
-			}
-			var want []Entry
-			for _, e := range all {
-				if e.CID <= target {
-					want = append(want, e)
-				}
-			}
-			requireSameEntries(t, want, collectAll(t, it), "seek chunk")
 		}
 	})
 }
@@ -551,7 +435,7 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seek.SeekDoc(target); err != nil {
+	if err := seek.SeekDoc(target); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := seek.NextBatch(buf); err != nil || n == 0 || buf[0].Doc < target {

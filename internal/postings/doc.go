@@ -5,8 +5,8 @@
 //
 // Five long-list layouts are provided, one per index method family:
 //
-//   - IDList            — ascending document IDs, d-gap + varint encoded
-//     (the ID method, §4.2.1).
+//   - IDList            — ascending document IDs, d-gap encoded (the ID
+//     method, §4.2.1).
 //   - ScoreList         — (score descending, docID) with the score stored in
 //     every posting (the Score-Threshold long list, §4.3.1).
 //   - ChunkedList       — postings grouped into chunks ordered by descending
@@ -17,19 +17,19 @@
 //   - ChunkedTermList   — the Chunk layout with a float32 term weight per
 //     posting (the Chunk-TermScore method, §4.3.3).
 //
-// Each layout has two wire encodings.  The legacy per-layout varint
-// encodings (postings.go) remain readable forever; new blobs default to the
-// compressed posting-block format (block.go): fixed-capacity blocks with
-// delta + bitpacked bodies, grouped under super-blocks whose skip headers
-// let a reader seek past whole page runs without decoding them.  The stream
-// readers auto-detect the encoding by first byte and expose the seek
-// capability as SeekDoc / SeekScoreLE / SeekChunkLE (false on legacy
-// blobs).  See the block.go package-level comment for the byte-level
-// grammar and ARCHITECTURE.md "Posting block format" for the design
-// rationale.
+// Every layout is written in one wire format, the posting-block format
+// (block.go): fixed-capacity blocks with delta + bitpacked bodies, grouped
+// under super-blocks whose skip headers let a reader seek past whole page
+// runs without decoding them.  One decoder type, Stream, reads all of them
+// (stream.go); its per-layout constructors reject any blob whose header
+// does not name their layout.  ID-ordered lists can seek (SeekDoc).  See
+// the block.go comment for the byte-level grammar and ARCHITECTURE.md
+// "Posting block format" for the design rationale.
 //
-// Short lists live in B+-trees (package index) but are exposed to the query
-// algorithms as the same Iterator interface so that the union
+// Iteration has one protocol, BatchIterator: decoders, short-list cursors
+// and the merge combinators all move postings a batch at a time.  Short
+// lists live in B+-trees (package index) but are exposed to the query
+// algorithms through the same protocol, so the union
 // "ShortList(t) ∪ LongList(t)" of Algorithm 2 is a single merged stream.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the

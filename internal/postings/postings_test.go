@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestIDListRoundTrip(t *testing.T) {
-	b := NewIDListBuilder()
+	b := NewBlockIDListBuilder()
 	ids := []DocID{1, 5, 6, 100, 10000, 10001}
 	for _, id := range ids {
 		if err := b.Add(id); err != nil {
@@ -18,17 +19,14 @@ func TestIDListRoundTrip(t *testing.T) {
 	if b.Len() != len(ids) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(ids))
 	}
-	it, err := NewIDListIterator(b.Bytes())
+	it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Len() != len(ids) {
 		t.Errorf("iterator Len = %d, want %d", it.Len(), len(ids))
 	}
-	got, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, it)
 	if len(got) != len(ids) {
 		t.Fatalf("decoded %d postings, want %d", len(got), len(ids))
 	}
@@ -40,7 +38,7 @@ func TestIDListRoundTrip(t *testing.T) {
 }
 
 func TestIDListRejectsOutOfOrder(t *testing.T) {
-	b := NewIDListBuilder()
+	b := NewBlockIDListBuilder()
 	if err := b.Add(10); err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +54,17 @@ func TestIDListRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestIDListEmpty(t *testing.T) {
-	b := NewIDListBuilder()
-	it, err := NewIDListIterator(b.Bytes())
+	it, err := NewStreamIDList(bytes.NewReader(NewBlockIDListBuilder().Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := it.Next(); ok {
-		t.Error("empty list yielded a posting")
+	if got := collectAll(t, it); len(got) != 0 {
+		t.Errorf("empty list yielded %d postings", len(got))
 	}
-	it2, err := NewIDListIterator(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := it2.Next(); ok {
-		t.Error("nil list yielded a posting")
+	// No builder writes a zero-byte blob, so reading one is an error, not
+	// an empty list.
+	if _, err := NewStreamIDList(bytes.NewReader(nil)); err == nil {
+		t.Error("nil blob opened as a list")
 	}
 }
 
@@ -84,18 +79,18 @@ func TestIDListProperty(t *testing.T) {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		b := NewIDListBuilder()
+		b := NewBlockIDListBuilder()
 		for _, id := range ids {
 			if err := b.Add(id); err != nil {
 				return false
 			}
 		}
-		it, err := NewIDListIterator(b.Bytes())
+		it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 		if err != nil {
 			return false
 		}
-		got, err := CollectAll(it)
-		if err != nil || len(got) != len(ids) {
+		got := collectAll(t, it)
+		if len(got) != len(ids) {
 			return false
 		}
 		for i := range ids {
@@ -111,24 +106,26 @@ func TestIDListProperty(t *testing.T) {
 }
 
 func TestScoreListRoundTrip(t *testing.T) {
-	b := NewScoreListBuilder()
 	type p struct {
 		doc   DocID
 		score float64
 	}
 	ps := []p{{7, 990.5}, {2, 500}, {9, 500}, {1, 87.13}, {4, 0}}
+	// 87.13 is left out of the directory so it takes the raw-float path.
+	dir := BuildScoreDir([]float64{990.5, 500, 0})
+	b := NewBlockScoreListBuilder(dir)
 	for _, x := range ps {
 		if err := b.Add(x.doc, x.score); err != nil {
 			t.Fatalf("Add(%v): %v", x, err)
 		}
 	}
-	it, err := NewScoreListIterator(b.Bytes())
+	it, err := NewStreamScoreListDir(bytes.NewReader(b.Bytes()), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
+	got := collectAll(t, it)
+	if len(got) != len(ps) {
+		t.Fatalf("decoded %d postings, want %d", len(got), len(ps))
 	}
 	for i, x := range ps {
 		if got[i].Doc != x.doc || got[i].SortKey != x.score {
@@ -138,7 +135,7 @@ func TestScoreListRoundTrip(t *testing.T) {
 }
 
 func TestScoreListRejectsOrderViolations(t *testing.T) {
-	b := NewScoreListBuilder()
+	b := NewBlockScoreListBuilder(nil)
 	if err := b.Add(3, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestScoreListRejectsOrderViolations(t *testing.T) {
 }
 
 func TestChunkedListRoundTrip(t *testing.T) {
-	b := NewChunkedListBuilder()
+	b := NewBlockChunkedListBuilder(false)
 	if err := b.AddChunk(5, []ChunkPosting{{Doc: 2}, {Doc: 9}, {Doc: 40}}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +167,14 @@ func TestChunkedListRoundTrip(t *testing.T) {
 	if b.Len() != 6 || b.Chunks() != 3 {
 		t.Fatalf("Len=%d Chunks=%d, want 6 and 3", b.Len(), b.Chunks())
 	}
-	it, err := NewChunkedListIterator(b.Bytes())
+	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.NumChunks() != 3 {
 		t.Errorf("NumChunks = %d, want 3", it.NumChunks())
 	}
-	got, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, it)
 	wantDocs := []DocID{2, 9, 40, 1, 2, 7}
 	wantCIDs := []int32{5, 5, 5, 3, 3, 1}
 	if len(got) != len(wantDocs) {
@@ -198,7 +192,7 @@ func TestChunkedListRoundTrip(t *testing.T) {
 }
 
 func TestChunkedListRejectsOrderViolations(t *testing.T) {
-	b := NewChunkedListBuilder()
+	b := NewBlockChunkedListBuilder(false)
 	if err := b.AddChunk(3, []ChunkPosting{{Doc: 5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,25 +208,22 @@ func TestChunkedListRejectsOrderViolations(t *testing.T) {
 }
 
 func TestChunkedTermListCarriesScores(t *testing.T) {
-	b := NewChunkedTermListBuilder()
+	b := NewBlockChunkedListBuilder(true)
 	if err := b.AddChunk(2, []ChunkPosting{{Doc: 1, TermScore: 0.5}, {Doc: 3, TermScore: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewChunkedListIterator(b.Bytes())
+	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].TermScore != 0.5 || got[1].TermScore != 0.25 {
-		t.Errorf("term scores = %v, %v; want 0.5, 0.25", got[0].TermScore, got[1].TermScore)
+	got := collectAll(t, it)
+	if len(got) != 2 || got[0].TermScore != 0.5 || got[1].TermScore != 0.25 {
+		t.Errorf("decoded postings = %+v; want term scores 0.5, 0.25", got)
 	}
 }
 
 func TestIDTermListRoundTrip(t *testing.T) {
-	b := NewIDTermListBuilder()
+	b := NewBlockIDTermListBuilder()
 	if err := b.Add(3, 0.75); err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +233,11 @@ func TestIDTermListRoundTrip(t *testing.T) {
 	if err := b.Add(8, 0.5); err == nil {
 		t.Error("duplicate doc accepted")
 	}
-	it, err := NewIDTermListIterator(b.Bytes())
+	it, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, it)
 	if len(got) != 2 || got[0].Doc != 3 || got[0].TermScore != 0.75 || got[1].Doc != 8 || got[1].TermScore != 0.125 {
 		t.Errorf("decoded postings = %+v", got)
 	}
@@ -266,10 +254,7 @@ func TestUnionMergesInOrder(t *testing.T) {
 		{Doc: 2, SortKey: 80, FromShort: true},
 		{Doc: 4, SortKey: 10, FromShort: true},
 	})
-	got, err := CollectAll(NewUnion(short, long))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, NewUnion(short, long))
 	wantDocs := []DocID{9, 1, 2, 7, 3, 4}
 	if len(got) != len(wantDocs) {
 		t.Fatalf("union produced %d entries, want %d", len(got), len(wantDocs))
@@ -287,10 +272,7 @@ func TestUnionMergesInOrder(t *testing.T) {
 }
 
 func TestUnionEmptyInputs(t *testing.T) {
-	got, err := CollectAll(NewUnion(NewSliceIterator(nil), NewSliceIterator(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, NewUnion(NewSliceIterator(nil), NewSliceIterator(nil)))
 	if len(got) != 0 {
 		t.Errorf("union of empty iterators produced %d entries", len(got))
 	}
@@ -306,10 +288,7 @@ func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
 		{Doc: 9, SortKey: 3},
 		{Doc: 5, SortKey: 1},
 	})
-	got, err := CollectAll(NewCollapseOps(src))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, NewCollapseOps(src))
 	wantDocs := []DocID{2, 9, 5}
 	if len(got) != len(wantDocs) {
 		t.Fatalf("collapse produced %d entries (%v), want %d", len(got), got, len(wantDocs))
@@ -326,10 +305,7 @@ func TestCollapseOpsPrefersShortListEntry(t *testing.T) {
 		{Doc: 5, SortKey: 3, TermScore: 0.1},
 		{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true},
 	})
-	got, err := CollectAll(NewCollapseOps(src))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collectAll(t, NewCollapseOps(src))
 	if len(got) != 1 || got[0].TermScore != 0.9 || !got[0].FromShort {
 		t.Errorf("collapse = %+v, want single short-list entry with term score 0.9", got)
 	}

@@ -5,19 +5,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+
+	"svrdb/internal/codec"
 )
 
-// This file provides streaming decoders over io.Reader for every long-list
-// layout.  The long lists are stored as blobs and read one page at a time
-// (§5.2); these decoders pull bytes lazily through a block buffer so that an
-// early-terminating query only faults in the pages of the list prefix it
-// actually consumed, which is exactly the effect the Chunk and
-// Score-Threshold methods rely on for their query-time advantage.
-//
-// Every decoder implements both Iterator and BatchIterator.  The decode
-// logic lives in NextBatch, which decodes a whole block of postings per call
-// directly out of the buffered page bytes; Next is a one-entry view of the
-// same path kept for compatibility and cold paths.
+// This file provides the streaming decoder over io.Reader for every
+// long-list layout.  The long lists are stored as blobs and read one page
+// at a time (§5.2); the decoder pulls bytes lazily through a block buffer
+// so that an early-terminating query only faults in the pages of the list
+// prefix it actually consumed, which is exactly the effect the Chunk and
+// Score-Threshold methods rely on for their query-time advantage.  Each
+// NextBatch decodes whole posting blocks directly out of the buffered page
+// bytes (the body decoders live in block.go).
 
 // streamBlockSize is the block buffer size; one on-disk page.
 const streamBlockSize = 4096
@@ -103,18 +103,6 @@ func (b *blockReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (b *blockReader) float32() (float32, error) {
-	if err := b.ensure(4); err != nil {
-		return 0, err
-	}
-	if b.avail() < 4 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(b.buf[b.pos:]))
-	b.pos += 4
-	return v, nil
-}
-
 func (b *blockReader) float64() (float64, error) {
 	if err := b.ensure(8); err != nil {
 		return 0, err
@@ -137,18 +125,6 @@ func (b *blockReader) byte() (byte, error) {
 	c := b.buf[b.pos]
 	b.pos++
 	return c, nil
-}
-
-// peek returns the next byte without consuming it; io.EOF when the source
-// is exhausted.
-func (b *blockReader) peek() (byte, error) {
-	if err := b.ensure(1); err != nil {
-		return 0, err
-	}
-	if b.avail() < 1 {
-		return 0, io.EOF
-	}
-	return b.buf[b.pos], nil
 }
 
 // view consumes the next n bytes and returns them as a contiguous slice of
@@ -207,402 +183,205 @@ func (b *blockReader) skip(n int) error {
 	return nil
 }
 
-// maybeCompressed dispatches on the blob's first byte: compressed blobs
-// start with blockMagic, which no legacy non-empty list can (their first
-// byte is a uvarint count >= 1).  It reports whether the compressed path
-// claimed the stream; when it did not, the legacy decoders proceed
-// unchanged.
-func maybeCompressed(br *blockReader, dir []float64) (*blockList, bool, error) {
-	c, err := br.peek()
-	if err != nil || c != blockMagic {
-		return nil, false, nil
-	}
-	d, err := newBlockList(br, dir)
-	if err != nil {
-		return nil, true, err
-	}
-	return d, true, nil
-}
-
-// nextOne adapts a NextBatch implementation to the single-step Iterator
-// protocol with a stack buffer.
-func nextOne(b BatchIterator) (Entry, bool, error) {
-	var one [1]Entry
-	n, err := b.NextBatch(one[:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	if n == 0 {
-		return Entry{}, false, nil
-	}
-	return one[0], true, nil
-}
-
-// --- streaming ID list ---------------------------------------------------------
-
-// StreamIDList decodes an IDListBuilder or BlockIDListBuilder blob lazily
-// from r, dispatching on the blob's first byte.
-type StreamIDList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	last DocID
-	err  error
-}
-
-// NewStreamIDList reads the header and returns a lazy iterator.  An empty
-// reader yields an empty list.
-func NewStreamIDList(r io.Reader) (*StreamIDList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream id list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutID {
-			return nil, fmt.Errorf("postings: stream id list: unexpected block layout %d", c.layout)
-		}
-		return &StreamIDList{br: br, comp: c, n: c.count}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamIDList{br: br}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream id list header: %w", err)
-	}
-	return &StreamIDList{br: br, n: int(n)}, nil
-}
-
-// Len reports the total number of postings in the list.
-func (s *StreamIDList) Len() int { return s.n }
-
-// SeekDoc positions the iterator so the next entry returned is the first
-// with Doc >= doc, skipping whole posting blocks — without decoding them
-// or faulting in their pages — via the per-block skip headers.  It reports
-// whether seeking was available: legacy uncompressed blobs have no skip
-// headers and are left unpositioned.
-func (s *StreamIDList) SeekDoc(doc DocID) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekDoc(doc)
-}
-
-// NextBatch implements BatchIterator.
-func (s *StreamIDList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		gap, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id list: %w", err)
-			return n, s.err
-		}
-		if s.seen == 0 {
-			s.last = DocID(gap)
-		} else {
-			s.last += DocID(gap)
-		}
-		s.seen++
-		out[n] = Entry{Doc: s.last}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamIDList) Next() (Entry, bool, error) { return nextOne(s) }
-
-// --- streaming score list ------------------------------------------------------
-
-// StreamScoreList decodes a ScoreListBuilder or BlockScoreListBuilder blob
-// lazily from r, dispatching on the blob's first byte.
-type StreamScoreList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	err  error
-}
-
-// NewStreamScoreList reads the header and returns a lazy iterator.  It is
-// NewStreamScoreListDir without a score directory: compressed blobs that
-// encode ranks require the directory the encoder used.
-func NewStreamScoreList(r io.Reader) (*StreamScoreList, error) {
-	return NewStreamScoreListDir(r, nil)
-}
-
-// NewStreamScoreListDir reads the header and returns a lazy iterator that
-// resolves compressed score ranks through dir (see BuildScoreDir); dir
-// must be the directory the list was encoded with.
-func NewStreamScoreListDir(r io.Reader, dir []float64) (*StreamScoreList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, dir); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream score list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutScore {
-			return nil, fmt.Errorf("postings: stream score list: unexpected block layout %d", c.layout)
-		}
-		return &StreamScoreList{br: br, comp: c, n: c.count}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamScoreList{br: br}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream score list header: %w", err)
-	}
-	return &StreamScoreList{br: br, n: int(n)}, nil
-}
-
-// Len reports the total number of postings.
-func (s *StreamScoreList) Len() int { return s.n }
-
-// SeekScoreLE positions the iterator so the next entry returned is the
-// first with score <= s (the layout sorts descending by score), skipping
-// whole posting blocks via the skip headers.  It reports whether seeking
-// was available (compressed blobs only).
-func (s *StreamScoreList) SeekScoreLE(score float64) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekScoreLE(score)
-}
-
-// NextBatch implements BatchIterator.
-func (s *StreamScoreList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		score, err := s.br.float64()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream score list: %w", err)
-			return n, s.err
-		}
-		doc, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream score list: %w", err)
-			return n, s.err
-		}
-		s.seen++
-		out[n] = Entry{Doc: DocID(doc), SortKey: score}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamScoreList) Next() (Entry, bool, error) { return nextOne(s) }
-
-// --- streaming chunked list ----------------------------------------------------
-
-// StreamChunkedList decodes a ChunkedListBuilder or
-// BlockChunkedListBuilder blob lazily from r, dispatching on the blob's
-// first byte.
-type StreamChunkedList struct {
-	br       *blockReader
-	comp     *blockList
-	n        int
-	chunks   int
-	withTerm bool
-
-	seen      int
-	chunkLeft int
-	curCID    int32
-	lastDoc   DocID
+// Stream decodes one posting-block blob lazily from an io.Reader, a whole
+// block at a time into an inline scratch array.  Which layout it holds is
+// fixed by the constructor that opened it: NewStreamIDList,
+// NewStreamIDTermList, NewStreamScoreListDir or NewStreamChunkedList.
+type Stream struct {
+	br        *blockReader
+	layout    byte
+	count     int
+	chunks    int
+	dir       []float64
+	decoded   int
+	superLeft int // postings remaining in the open super-block
+	pos       int
+	entries   []Entry
+	arr       [blockCap]Entry
 	err       error
 }
 
-// NewStreamChunkedList reads the header and returns a lazy iterator.
-func NewStreamChunkedList(r io.Reader) (*StreamChunkedList, error) {
+// NewStreamIDList opens an ID-layout blob (BlockIDListBuilder).
+func NewStreamIDList(r io.Reader) (*Stream, error) {
+	return newStream(r, nil, "id list", layoutID)
+}
+
+// NewStreamIDTermList opens an ID+term-layout blob (BlockIDTermListBuilder).
+func NewStreamIDTermList(r io.Reader) (*Stream, error) {
+	return newStream(r, nil, "id+term list", layoutIDTerm)
+}
+
+// NewStreamScoreListDir opens a score-layout blob (BlockScoreListBuilder),
+// resolving score ranks through dir, which must be the directory the list
+// was built with (see BuildScoreDir).
+func NewStreamScoreListDir(r io.Reader, dir []float64) (*Stream, error) {
+	return newStream(r, dir, "score list", layoutScore)
+}
+
+// NewStreamChunkedList opens a chunked-layout blob, with or without term
+// weights (BlockChunkedListBuilder).
+func NewStreamChunkedList(r io.Reader) (*Stream, error) {
+	return newStream(r, nil, "chunked list", layoutChunk, layoutChunkTerm)
+}
+
+// newStream consumes and checks the blob header: the magic byte, version
+// 1, one of the accepted layout tags, the posting count and (chunk layouts)
+// the chunk count.  Every other header is an error: a zero-byte blob, a
+// pre-block legacy encoding, an unknown version or another layout wrap
+// codec.ErrCorrupt, and a header cut short is io.ErrUnexpectedEOF.
+func newStream(r io.Reader, dir []float64, what string, layouts ...byte) (*Stream, error) {
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("postings: %s: %w: %s", what, codec.ErrCorrupt, fmt.Sprintf(format, args...))
+	}
 	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
+	if err := br.ensure(2); err != nil {
+		return nil, fmt.Errorf("postings: %s header: %w", what, err)
+	}
+	switch {
+	case br.avail() == 0:
+		return nil, corrupt("empty blob")
+	case br.buf[br.pos] != blockMagic:
+		return nil, corrupt("blob starts with %#02x, not the posting-block magic %#02x", br.buf[br.pos], blockMagic)
+	case br.avail() < 2:
+		return nil, corrupt("header truncated after the magic byte")
+	}
+	vl := br.buf[br.pos+1]
+	br.pos += 2
+	if vl>>4 != blockVersion {
+		return nil, corrupt("posting block version %d, want %d", vl>>4, blockVersion)
+	}
+	d := &Stream{br: br, layout: vl & 0x0f, dir: dir}
+	if !slices.Contains(layouts, d.layout) {
+		return nil, corrupt("posting block layout %d, want one of %v", d.layout, layouts)
+	}
+	cnt, err := br.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("postings: %s header: posting count: %w", what, noEOF(err))
+	}
+	if cnt > math.MaxInt {
+		return nil, corrupt("posting count %d", cnt)
+	}
+	d.count = int(cnt)
+	if d.layout == layoutChunk || d.layout == layoutChunkTerm {
+		ch, err := br.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
+			return nil, fmt.Errorf("postings: %s header: chunk count: %w", what, noEOF(err))
 		}
-		if c.layout != 0 && c.layout != layoutChunk && c.layout != layoutChunkTerm {
-			return nil, fmt.Errorf("postings: stream chunked list: unexpected block layout %d", c.layout)
-		}
-		return &StreamChunkedList{br: br, comp: c, n: c.count, chunks: c.chunks, withTerm: c.layout == layoutChunkTerm}, nil
+		d.chunks = int(ch)
 	}
-	n, err := br.uvarint()
+	return d, nil
+}
+
+// noEOF reports io.EOF as io.ErrUnexpectedEOF: a header or frame promised
+// more bytes, so running out of them is not the end of the list.
+func noEOF(err error) error {
 	if err == io.EOF {
-		return &StreamChunkedList{br: br}, nil
+		return io.ErrUnexpectedEOF
 	}
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-	}
-	chunks, err := br.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-	}
-	flag, err := br.byte()
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-	}
-	return &StreamChunkedList{br: br, n: int(n), chunks: int(chunks), withTerm: flag == 1}, nil
+	return err
 }
 
-// Len reports the total number of postings; NumChunks the number of chunks.
-func (s *StreamChunkedList) Len() int       { return s.n }
-func (s *StreamChunkedList) NumChunks() int { return s.chunks }
+// Len reports the total number of postings in the list.
+func (d *Stream) Len() int { return d.count }
 
-// SeekChunkLE positions the iterator so the next entry returned is the
-// first with CID <= cid (the layout sorts descending by chunk), skipping
-// whole posting blocks via the skip headers.  It reports whether seeking
-// was available (compressed blobs only).
-func (s *StreamChunkedList) SeekChunkLE(cid int32) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekChunkLE(cid)
-}
+// NumChunks reports the number of chunks of a chunked list (0 otherwise).
+func (d *Stream) NumChunks() int { return d.chunks }
 
 // NextBatch implements BatchIterator.
-func (s *StreamChunkedList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
+func (d *Stream) NextBatch(out []Entry) (int, error) {
+	if d.err != nil {
+		return 0, d.err
 	}
 	n := 0
-	for n < len(out) && s.seen < s.n {
-		if s.chunkLeft == 0 {
-			cid, err := s.br.uvarint()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-			count, err := s.br.uvarint()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-			s.curCID = int32(uint32(cid))
-			s.chunkLeft = int(count)
-			s.lastDoc = -1
+	for n < len(out) {
+		if d.pos < len(d.entries) {
+			c := copy(out[n:], d.entries[d.pos:])
+			d.pos += c
+			n += c
+			continue
 		}
-		gap, err := s.br.uvarint()
+		if d.decoded >= d.count {
+			break
+		}
+		if d.superLeft == 0 {
+			sh, err := d.readHeader(d.count - d.decoded)
+			if err != nil {
+				return n, d.fail("super-block", err)
+			}
+			d.superLeft = sh.n
+			continue
+		}
+		h, err := d.readHeader(d.blockMax())
+		if err == nil {
+			err = d.loadBlock(h)
+		}
 		if err != nil {
-			s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-			return n, s.err
+			return n, d.fail("block", err)
 		}
-		if s.lastDoc < 0 {
-			s.lastDoc = DocID(gap)
-		} else {
-			s.lastDoc += DocID(gap)
-		}
-		var ts float32
-		if s.withTerm {
-			ts, err = s.br.float32()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-		}
-		s.chunkLeft--
-		s.seen++
-		out[n] = Entry{Doc: s.lastDoc, CID: s.curCID, SortKey: float64(s.curCID), TermScore: ts}
-		n++
+		d.superLeft -= h.n
 	}
 	return n, nil
 }
 
-// Next implements Iterator.
-func (s *StreamChunkedList) Next() (Entry, bool, error) { return nextOne(s) }
-
-// --- streaming ID+term list ----------------------------------------------------
-
-// StreamIDTermList decodes an IDTermListBuilder or BlockIDTermListBuilder
-// blob lazily from r, dispatching on the blob's first byte.
-type StreamIDTermList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	last DocID
-	err  error
+// fail records a decode error; the stream returns it from then on.
+func (d *Stream) fail(level string, err error) error {
+	d.err = fmt.Errorf("postings: posting %s: %w", level, noEOF(err))
+	return d.err
 }
 
-// NewStreamIDTermList reads the header and returns a lazy iterator.
-func NewStreamIDTermList(r io.Reader) (*StreamIDTermList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
+// SeekDoc positions an ID or ID+term list so the next entry returned is
+// the first with Doc >= doc; if none qualifies the stream is left
+// exhausted.  The skip headers prove, without decoding, that a frame holds
+// no such entry: a skipped block saves its body's decode, and a skipped
+// super-block also saves the page reads of its multi-page span (the blob
+// reader advances by offset).  Seeking backwards is a no-op.
+func (d *Stream) SeekDoc(doc DocID) error {
+	if d.layout != layoutID && d.layout != layoutIDTerm {
+		return fmt.Errorf("postings: SeekDoc on a list of layout %d, which is not ordered by document", d.layout)
+	}
+	if d.err != nil {
+		return d.err
+	}
+	for {
+		for ; d.pos < len(d.entries); d.pos++ {
+			if d.entries[d.pos].Doc >= doc {
+				return nil
+			}
+		}
+		if d.decoded >= d.count {
+			return nil
+		}
+		if d.superLeft == 0 {
+			sh, err := d.readHeader(d.count - d.decoded)
+			if err != nil {
+				return d.fail("super-block", err)
+			}
+			if sh.lastDoc >= doc {
+				d.superLeft = sh.n
+				continue
+			}
+			if err := d.br.skip(sh.bodyLen); err != nil {
+				return d.fail("super-block", err)
+			}
+			d.decoded += sh.n
+			continue
+		}
+		h, err := d.readHeader(d.blockMax())
 		if err != nil {
-			return nil, fmt.Errorf("postings: stream id+term list header: %w", err)
+			return d.fail("block", err)
 		}
-		if c.layout != 0 && c.layout != layoutIDTerm {
-			return nil, fmt.Errorf("postings: stream id+term list: unexpected block layout %d", c.layout)
+		d.superLeft -= h.n
+		if h.lastDoc >= doc {
+			if err := d.loadBlock(h); err != nil {
+				return d.fail("block", err)
+			}
+			continue
 		}
-		return &StreamIDTermList{br: br, comp: c, n: c.count}, nil
+		if err := d.br.skip(h.bodyLen); err != nil {
+			return d.fail("block", err)
+		}
+		d.decoded += h.n
+		d.entries = nil
+		d.pos = 0
 	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamIDTermList{br: br}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream id+term list header: %w", err)
-	}
-	return &StreamIDTermList{br: br, n: int(n)}, nil
 }
-
-// Len reports the total number of postings.
-func (s *StreamIDTermList) Len() int { return s.n }
-
-// SeekDoc positions the iterator so the next entry returned is the first
-// with Doc >= doc, skipping whole posting blocks via the skip headers.  It
-// reports whether seeking was available (compressed blobs only).
-func (s *StreamIDTermList) SeekDoc(doc DocID) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekDoc(doc)
-}
-
-// NextBatch implements BatchIterator.
-func (s *StreamIDTermList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		gap, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id+term list: %w", err)
-			return n, s.err
-		}
-		ts, err := s.br.float32()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id+term list: %w", err)
-			return n, s.err
-		}
-		if s.seen == 0 {
-			s.last = DocID(gap)
-		} else {
-			s.last += DocID(gap)
-		}
-		s.seen++
-		out[n] = Entry{Doc: s.last, TermScore: ts}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamIDTermList) Next() (Entry, bool, error) { return nextOne(s) }
