@@ -129,10 +129,15 @@ type Engine struct {
 	// every ApplyBatch return and Close writes an atomic checkpoint
 	// (commitDurable).  In-memory engines skip all of it.
 	durable bool
-	// catalogPages is the page chain holding the last committed catalog;
-	// the next commit frees it and writes a fresh chain (guarded by
-	// batchMu, like the commits that use it).
+	// catalogPages is the page chain holding the last committed catalog
+	// root; the next commit frees it and writes a fresh chain.  sections
+	// tracks, per index name, the committed chain and version of each bulk
+	// section, so a commit rewrites only the sections that changed.  Both
+	// are guarded by batchMu, like the commits that use them.
 	catalogPages []pagefile.PageID
+	sections     map[string]*indexSections
+	// catalogBytes counts the catalog bytes durable commits have written.
+	catalogBytes atomic.Uint64
 }
 
 // Options configures an Engine.
@@ -153,6 +158,7 @@ func NewEngine(db *relation.DB, opts Options) *Engine {
 		indexes:  map[string]*TextIndex{},
 		specs:    map[string]view.Spec{},
 		tenants:  map[string]TenantQuota{},
+		sections: map[string]*indexSections{},
 	}
 	e.commitCond = sync.NewCond(&e.commitMu)
 	return e

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"sort"
 
 	"svrdb/internal/index"
 	"svrdb/internal/relation"
@@ -18,12 +19,15 @@ import (
 // catalogVersion is bumped when the catalog encoding changes.  Dropping a
 // field does not change it: gob skips encoded fields the destination
 // struct lacks, so catalogs that still carry a removed field decode.
-const catalogVersion = 1
+// Version 2 split each index's bulk state out of the root into separately
+// committed sections; a version 1 file is refused at open.
+const catalogVersion = 2
 
 // catalogIndexEntry records one text index in the catalog: its identity, the
 // knobs to rebuild its Config, the name its score spec is registered under
-// (the spec itself holds Go functions and cannot be serialized), and the
-// anchors of its view tree and method structures.
+// (the spec itself holds Go functions and cannot be serialized), the anchors
+// of its view tree and method structures, and where each of the method's
+// bulk sections (index.Section) is stored.
 type catalogIndexEntry struct {
 	Name     string
 	Table    string
@@ -35,28 +39,52 @@ type catalogIndexEntry struct {
 	MinChunkSize   int
 	FancyListSize  int
 
-	View   view.State
-	Method index.MethodState
+	View    view.State
+	Anchors index.MethodAnchors
+	// Sections is indexed by index.Section.
+	Sections []sectionRef
 }
 
-// catalog is the gob-encoded snapshot of every piece of navigational state
-// the page file's pages do not themselves record: table schemas and tree
-// roots, view tree roots, and the six methods' in-memory state.  It is
-// written into a page chain at every commit; the chain head travels in the
-// page file's header meta, so catalog and data become visible atomically.
+// sectionRef locates one bulk section: the head of its page chain and its
+// encoded length.
+type sectionRef struct {
+	Head   pagefile.PageID
+	Length int
+}
+
+// catalog is the root record of the durable catalog: table schemas and tree
+// roots, view tree roots, each method's anchors and section locations, and
+// tenant quotas.  It is gob-encoded into a page chain at every commit; the
+// chain head travels in the page file's header meta, so catalog and data
+// become visible atomically.  The bulk of each method's state — its
+// long-list directory and its vocabulary — lives in section chains the
+// root points to, which a commit rewrites only when they changed.
 type catalog struct {
 	Version int
 	Tables  []relation.TableState
 	Indexes []catalogIndexEntry
-	// Tenants records registered tenant quotas.  Added after version 1
-	// shipped; gob tolerates the extra field, so files written without it
-	// decode with a nil map and the version stays 1.
+	// Tenants records registered tenant quotas.
 	Tenants map[string]TenantQuota
+}
+
+// committedSection is the last committed copy of one bulk section: the
+// method's version of it at that commit and the chain that holds it.
+type committedSection struct {
+	version index.SectionVersion
+	ref     sectionRef
+	pages   []pagefile.PageID
+}
+
+// indexSections tracks the committed sections of one text index.
+type indexSections struct {
+	ti       *TextIndex
+	sections [index.NumSections]committedSection
 }
 
 // --- catalog page chain -------------------------------------------------------
 //
-// The catalog is sliced across a singly linked chain of ordinary pages:
+// The root and every section are each sliced across a singly linked chain
+// of ordinary pages:
 // [8 next page (InvalidPageID ends the chain)][4 payload length][payload].
 // Pages are allocated through the file's free list and freed at the next
 // commit, so the steady state alternates between two page sets and the file
@@ -128,8 +156,11 @@ func writeCatalogChain(file pagefile.File, data []byte) ([]pagefile.PageID, erro
 // bytes, returning them along with the chain's page IDs (so the next commit
 // can free them).
 func readCatalogChain(file pagefile.File, head pagefile.PageID, length int) ([]byte, []pagefile.PageID, error) {
+	if length < 0 {
+		return nil, nil, fmt.Errorf("core: catalog chain claims %d bytes", length)
+	}
 	var (
-		out   = make([]byte, 0, length)
+		out   = make([]byte, 0, min(length, int(file.NumPages())*file.PageSize()))
 		ids   []pagefile.PageID
 		page  = make([]byte, file.PageSize())
 		id    = head
@@ -159,12 +190,24 @@ func readCatalogChain(file pagefile.File, head pagefile.PageID, length int) ([]b
 
 // --- commit -------------------------------------------------------------------
 
-// buildCatalog snapshots the engine.  The caller holds batchMu, so no batch
-// is mid-flight; each index is additionally snapshotted under its writer
-// mutex so an eager maintenance write cannot interleave.  Searches are not
-// excluded — they read the published snapshot and never move navigational
-// state.
-func (e *Engine) buildCatalog() *catalog {
+// sectionWrite is one bulk section a commit rewrites.
+type sectionWrite struct {
+	at      int // position of the index in catalog.Indexes
+	ti      *TextIndex
+	section index.Section
+	version index.SectionVersion
+	data    []byte
+	pages   []pagefile.PageID
+}
+
+// buildCatalog snapshots the engine into a root record and encodes every
+// bulk section whose version moved since it was last committed; unchanged
+// sections keep their committed chains and cost nothing.  The caller holds
+// batchMu, so no batch is mid-flight; each index is additionally
+// snapshotted under its writer mutex so an eager maintenance write or a
+// merge cannot interleave.  Searches are not excluded — they read the
+// published snapshot and never move navigational state.
+func (e *Engine) buildCatalog() (*catalog, []sectionWrite) {
 	cat := &catalog{Version: catalogVersion, Tenants: e.tenantQuotas()}
 	for _, name := range e.db.TableNames() {
 		tbl, err := e.db.Table(name)
@@ -173,10 +216,15 @@ func (e *Engine) buildCatalog() *catalog {
 		}
 		cat.Tables = append(cat.Tables, tbl.State())
 	}
+	var writes []sectionWrite
 	for _, name := range e.TextIndexNames() {
 		ti, err := e.TextIndex(name)
 		if err != nil {
 			continue
+		}
+		committed := e.sections[name]
+		if committed != nil && committed.ti != ti {
+			committed = nil // dropped and recreated under the same name
 		}
 		ti.writerMu.Lock()
 		entry := catalogIndexEntry{
@@ -189,19 +237,33 @@ func (e *Engine) buildCatalog() *catalog {
 			MinChunkSize:   ti.cfg.MinChunkSize,
 			FancyListSize:  ti.cfg.FancyListSize,
 			View:           ti.view.State(),
-			Method:         ti.method.State(),
+			Anchors:        ti.method.Anchors(),
+			Sections:       make([]sectionRef, index.NumSections),
+		}
+		for s := range index.NumSections {
+			v := ti.method.SectionVersion(s)
+			if committed != nil && committed.sections[s].version == v {
+				entry.Sections[s] = committed.sections[s].ref
+				continue
+			}
+			writes = append(writes, sectionWrite{
+				at: len(cat.Indexes), ti: ti, section: s, version: v,
+				data: ti.method.AppendSection(nil, s),
+			})
 		}
 		ti.writerMu.Unlock()
 		cat.Indexes = append(cat.Indexes, entry)
 	}
-	return cat
+	return cat, writes
 }
 
 // commitDurable checkpoints the engine into its durable page file: flush
-// every dirty page, serialize the catalog into a fresh page chain, free the
-// previous chain, and commit — one atomic WAL transaction covering data,
-// catalog and header.  It is a no-op for in-memory engines.  The caller
-// must hold batchMu (ApplyBatch and Close already do).
+// every dirty page, write every changed bulk section and the root record
+// into fresh page chains, free the chains they supersede (and those of
+// indexes dropped since the last commit), and commit — one atomic WAL
+// transaction covering data, catalog and header.  It is a no-op for
+// in-memory engines.  The caller must hold batchMu (ApplyBatch and Close
+// already do).
 func (e *Engine) commitDurable() error {
 	if !e.durable {
 		return nil
@@ -210,34 +272,88 @@ func (e *Engine) commitDurable() error {
 	if err := pool.FlushOrdered(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e.buildCatalog()); err != nil {
-		return fmt.Errorf("core: encode catalog: %w", err)
-	}
+	cat, writes := e.buildCatalog()
 	file := pool.File()
-	// The old chain's pages are freed inside this commit window and the new
-	// chain allocated (possibly reusing them): the durable backend stages
+
+	// Superseded chains are freed inside this commit window and the new
+	// chains allocated (possibly reusing them): the durable backend stages
 	// every write until Commit, so a crash anywhere in between still
 	// recovers the previous committed catalog intact.
-	for _, id := range e.catalogPages {
+	free := append([]pagefile.PageID(nil), e.catalogPages...)
+	var dropped []string
+	for name, is := range e.sections {
+		if ti, err := e.TextIndex(name); err != nil || ti != is.ti {
+			dropped = append(dropped, name)
+		}
+	}
+	sort.Strings(dropped)
+	for _, name := range dropped {
+		for _, cs := range e.sections[name].sections {
+			free = append(free, cs.pages...)
+		}
+	}
+	for _, w := range writes {
+		if is := e.sections[w.ti.name]; is != nil && is.ti == w.ti {
+			free = append(free, is.sections[w.section].pages...)
+		}
+	}
+	for _, id := range free {
 		if err := file.Free(id); err != nil {
 			return fmt.Errorf("core: free catalog page %d: %w", id, err)
 		}
+	}
+
+	written := 0
+	for i := range writes {
+		w := &writes[i]
+		pages, err := writeCatalogChain(file, w.data)
+		if err != nil {
+			return fmt.Errorf("core: write %v section of index %q: %w", w.section, w.ti.name, err)
+		}
+		w.pages = pages
+		cat.Indexes[w.at].Sections[w.section] = sectionRef{Head: pages[0], Length: len(w.data)}
+		written += len(w.data)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(cat); err != nil {
+		return fmt.Errorf("core: encode catalog: %w", err)
 	}
 	pages, err := writeCatalogChain(file, buf.Bytes())
 	if err != nil {
 		return fmt.Errorf("core: write catalog: %w", err)
 	}
-	head := pagefile.InvalidPageID
-	if len(pages) > 0 {
-		head = pages[0]
-	}
-	if err := file.Commit(metaBytes(head, buf.Len())); err != nil {
+	if err := file.Commit(metaBytes(pages[0], buf.Len())); err != nil {
 		return err
 	}
+
 	e.catalogPages = pages
+	for _, name := range dropped {
+		delete(e.sections, name)
+	}
+	for _, w := range writes {
+		e.trackSection(w.ti, w.section, committedSection{
+			version: w.version,
+			ref:     sectionRef{Head: w.pages[0], Length: len(w.data)},
+			pages:   w.pages,
+		})
+	}
+	e.catalogBytes.Add(uint64(written + buf.Len()))
 	return nil
 }
+
+// trackSection records the committed copy of one section of ti.
+func (e *Engine) trackSection(ti *TextIndex, s index.Section, cs committedSection) {
+	is := e.sections[ti.name]
+	if is == nil || is.ti != ti {
+		is = &indexSections{ti: ti}
+		e.sections[ti.name] = is
+	}
+	is.sections[s] = cs
+}
+
+// CatalogBytes reports the catalog bytes — root records and rewritten
+// sections — that durable commits have written since the engine opened.
+func (e *Engine) CatalogBytes() uint64 { return e.catalogBytes.Load() }
 
 // --- open ---------------------------------------------------------------------
 
@@ -325,7 +441,9 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: decode catalog: %w", err)
 	}
 	if cat.Version != catalogVersion {
-		return nil, fmt.Errorf("core: catalog version %d not supported (want %d)", cat.Version, catalogVersion)
+		return nil, fmt.Errorf("core: catalog version %d not supported (want %d): "+
+			"files written before per-index catalog sections cannot be opened; rebuild the engine from its source data",
+			cat.Version, catalogVersion)
 	}
 	e.catalogPages = pages
 	e.restoreTenants(cat.Tenants)
@@ -351,6 +469,9 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 	if !ok {
 		return fmt.Errorf("no spec registered under name %q (OpenOptions.Specs)", ent.SpecName)
 	}
+	if len(ent.Sections) != int(index.NumSections) {
+		return fmt.Errorf("catalog entry lists %d sections, want %d", len(ent.Sections), index.NumSections)
+	}
 	tbl, err := e.db.Table(ent.Table)
 	if err != nil {
 		return err
@@ -371,7 +492,20 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		MinChunkSize:   ent.MinChunkSize,
 		FancyListSize:  ent.FancyListSize,
 	}
-	method, err := index.Restore(cfg, ent.Method)
+	st := index.MethodState{MethodAnchors: ent.Anchors}
+	var chains [index.NumSections]committedSection
+	for s := range index.NumSections {
+		ref := ent.Sections[s]
+		data, pages, err := readCatalogChain(e.db.Pool().File(), ref.Head, ref.Length)
+		if err != nil {
+			return fmt.Errorf("%v section: %w", s, err)
+		}
+		if err := index.DecodeSection(s, data, &st); err != nil {
+			return err
+		}
+		chains[s] = committedSection{ref: ref, pages: pages}
+	}
+	method, err := index.Restore(cfg, st)
 	if err != nil {
 		return err
 	}
@@ -392,6 +526,11 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		return err
 	}
 	ti.baseHook = tbl.OnChange(ti.onBaseRowChange)
+
+	for s := range index.NumSections {
+		chains[s].version = method.SectionVersion(s)
+	}
+	e.sections[ent.Name] = &indexSections{ti: ti, sections: chains}
 
 	e.mu.Lock()
 	e.indexes[ent.Name] = ti

@@ -307,6 +307,17 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 	mutate := func(e *Engine) error {
 		return e.ApplyBatch(applyArchiveMutations(t, e.DB(), nMovies, rounds))
 	}
+	runCrashMatrix(t, dir, template, mutate, searchSnapshot)
+}
+
+// runCrashMatrix applies mutate to copies of the committed template while a
+// deterministic fault kills the process at every write, torn-write and
+// fsync site of the commit and every read site of the open.  After each
+// crash the copy is reopened cleanly and its snapshot must match either the
+// pre- or the post-mutation committed state byte for byte — and if mutate
+// reported success, the post state is mandatory.
+func runCrashMatrix(t *testing.T, dir, template string, mutate func(*Engine) error, snapshot func(*testing.T, *Engine) string) {
+	t.Helper()
 
 	// Reference snapshots: the committed state before and after the batch.
 	pre := func() string {
@@ -317,7 +328,7 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		return searchSnapshot(t, e)
+		return snapshot(t, e)
 	}()
 	post := func() string {
 		p := filepath.Join(dir, "post.svrdb")
@@ -330,7 +341,7 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 		if err := mutate(e); err != nil {
 			t.Fatal(err)
 		}
-		return searchSnapshot(t, e)
+		return snapshot(t, e)
 	}()
 	if pre == post {
 		t.Fatal("mutation batch did not change any query results; the matrix would prove nothing")
@@ -403,7 +414,7 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clean reopen after crash: %v", err)
 			}
-			got := searchSnapshot(t, re)
+			got := snapshot(t, re)
 			if err := re.Close(); err != nil {
 				t.Errorf("close after recovery: %v", err)
 			}
@@ -424,9 +435,10 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 	}
 }
 
-// TestCatalogWithRemovedFieldDecodes pins the reason catalogVersion stayed
-// 1 when catalogIndexEntry lost its long-list encoding flag: gob skips the
-// field, so a catalog written with it still decodes.
+// TestCatalogWithRemovedFieldDecodes pins why removing a field does not
+// bump catalogVersion (as when catalogIndexEntry lost its long-list
+// encoding flag): gob skips the field, so a catalog written with it still
+// decodes.
 func TestCatalogWithRemovedFieldDecodes(t *testing.T) {
 	type oldEntry struct {
 		Name          string

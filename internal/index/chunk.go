@@ -23,10 +23,9 @@ import (
 // where k results were found to compensate for the slack.
 type ChunkMethod struct {
 	*base
-	short       *keyedList
-	listChunk   *listTable
-	chunks      *chunker
-	knownTokens map[DocID][]string
+	short     *keyedList
+	listChunk *listTable
+	chunks    *chunker
 }
 
 // NewChunk creates a Chunk-method index with the configured chunk ratio and
@@ -44,7 +43,7 @@ func NewChunk(cfg Config) (*ChunkMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &ChunkMethod{base: b, short: short, listChunk: lc, knownTokens: map[DocID][]string{}}
+	m := &ChunkMethod{base: b, short: short, listChunk: lc}
 	m.initSnapshots()
 	return m, nil
 }
@@ -57,6 +56,7 @@ func (m *ChunkMethod) initSnapshots() {
 	m.short.enableCOW(m.retirePage)
 	m.listChunk.enableCOW(m.retirePage)
 	m.fillExtra = func(s *snap) { m.fillChunkSnap(s) }
+	m.stateExtra = m.fillState
 	m.publish()
 }
 
@@ -196,7 +196,7 @@ func (m *ChunkMethod) InsertDocument(doc DocID, tokens []string, score float64) 
 		distinct = append(distinct, tw.term)
 	}
 	m.dict.AddDocumentTerms(distinct)
-	m.knownTokens[doc] = distinct
+	m.knownTokens.put(doc, distinct)
 	m.numDocs.Add(1)
 	return m.listChunk.Put(doc, listEntry{Key: float64(cid), InShortList: true})
 }
@@ -230,7 +230,7 @@ func (m *ChunkMethod) DeleteDocument(doc DocID) error {
 	if err := m.listChunk.Put(doc, listEntry{Key: key, InShortList: false}); err != nil {
 		return err
 	}
-	delete(m.knownTokens, doc)
+	m.knownTokens.drop(doc)
 	m.numDocs.Add(-1)
 	return nil
 }
@@ -288,7 +288,7 @@ func (m *ChunkMethod) docTokens(doc DocID) ([]string, error) {
 			return tokens, nil
 		}
 	}
-	if cached, ok := m.knownTokens[doc]; ok {
+	if cached, ok := m.knownTokens.docs[doc]; ok {
 		return cached, nil
 	}
 	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)

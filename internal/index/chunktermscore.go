@@ -57,6 +57,7 @@ func (m *ChunkTermScoreMethod) initSnapshots() {
 		s.fancyMinW = m.fancyMinW
 		s.fancyBytes = m.fancyBytes
 	}
+	m.stateExtra = m.fillState
 	m.publish()
 }
 

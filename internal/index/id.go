@@ -30,10 +30,6 @@ type IDMethod struct {
 	*base
 	withTermScores bool
 	aux            *keyedList
-	// knownTokens caches the distinct terms of documents inserted after the
-	// bulk build so that deletions can purge their auxiliary postings even if
-	// the document source no longer has the row.
-	knownTokens map[DocID][]string
 }
 
 // NewID creates an ID-method index.
@@ -52,7 +48,7 @@ func newIDMethod(cfg Config, withTermScores bool) (*IDMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &IDMethod{base: b, withTermScores: withTermScores, aux: aux, knownTokens: map[DocID][]string{}}
+	m := &IDMethod{base: b, withTermScores: withTermScores, aux: aux}
 	m.initSnapshots()
 	return m, nil
 }
@@ -62,6 +58,7 @@ func newIDMethod(cfg Config, withTermScores bool) (*IDMethod, error) {
 func (m *IDMethod) initSnapshots() {
 	m.aux.enableCOW(m.retirePage)
 	m.fillExtra = func(s *snap) { s.lists = m.aux.snapshotView() }
+	m.stateExtra = m.fillState
 	m.publish()
 }
 
@@ -156,7 +153,7 @@ func (m *IDMethod) InsertDocument(doc DocID, tokens []string, score float64) err
 		distinct = append(distinct, tw.term)
 	}
 	m.dict.AddDocumentTerms(distinct)
-	m.knownTokens[doc] = distinct
+	m.knownTokens.put(doc, distinct)
 	m.numDocs.Add(1)
 	return nil
 }
@@ -172,7 +169,7 @@ func (m *IDMethod) DeleteDocument(doc DocID) error {
 			return err
 		}
 	}
-	delete(m.knownTokens, doc)
+	m.knownTokens.drop(doc)
 	m.numDocs.Add(-1)
 	return nil
 }
@@ -209,7 +206,7 @@ func (m *IDMethod) docTermsForMaintenance(doc DocID) []string {
 			return distinctTerms(tokens)
 		}
 	}
-	return m.knownTokens[doc]
+	return m.knownTokens.docs[doc]
 }
 
 // makeResolve builds the candidate resolver: the current-score lookup, plus

@@ -188,8 +188,20 @@ type Method interface {
 	// Stats returns cumulative counters and structure sizes.
 	Stats() Stats
 	// State snapshots the method's navigational state for a checkpoint; the
-	// page-resident structures it anchors must already be flushed.
+	// page-resident structures it anchors must already be flushed.  It
+	// copies every map and slice; a checkpoint instead reads Anchors and
+	// only the sections whose SectionVersion moved.
 	State() MethodState
+	// Anchors returns the MethodAnchors part of State without copying
+	// anything else.
+	Anchors() MethodAnchors
+	// SectionVersion identifies the current content of one bulk section of
+	// State (see SectionVersion); reading it copies nothing.
+	SectionVersion(s Section) SectionVersion
+	// AppendSection appends the encoding of one bulk section of State to
+	// dst; DecodeSection reads it back.  Equal states encode to equal bytes.
+	// Like State, it must not race the method's writers.
+	AppendSection(dst []byte, s Section) []byte
 	// SetSource rewires the document source after a Restore (Build sets it
 	// itself).
 	SetSource(src DocSource)
@@ -345,6 +357,9 @@ type base struct {
 	// (for IDF) while a serialized writer inserts or deletes documents.
 	numDocs  atomic.Int64
 	counters counters
+	// knownTokens caches the distinct terms of incrementally inserted
+	// documents (every family except the Score method consults it).
+	knownTokens tokenCache
 
 	// epochs tracks reader epochs and recycles retired pages; published is
 	// the snapshot queries evaluate against.
@@ -357,6 +372,9 @@ type base struct {
 	// fillExtra is the method-specific half of publication, set once at
 	// construction (captures the method's own lists and metadata).
 	fillExtra func(*snap)
+	// stateExtra is the method-specific half of liveState, set alongside
+	// fillExtra.
+	stateExtra func(*MethodState)
 
 	// pubDict/pubGen/pubDF cache the last published document-frequency
 	// vector so score-only publications skip the O(vocabulary) copy.
@@ -375,11 +393,12 @@ func newBase(cfg Config) (*base, error) {
 		return nil, err
 	}
 	b := &base{
-		cfg:      cfg,
-		store:    blob.NewStore(cfg.Pool),
-		dict:     text.NewDictionary(),
-		score:    st,
-		longRefs: map[string]blob.Ref{},
+		cfg:         cfg,
+		store:       blob.NewStore(cfg.Pool),
+		dict:        text.NewDictionary(),
+		score:       st,
+		longRefs:    map[string]blob.Ref{},
+		knownTokens: tokenCache{docs: map[DocID][]string{}},
 	}
 	b.epochs = epoch.New(cfg.Pool.FreePage)
 	st.enableCOW(b.retirePage)

@@ -93,7 +93,7 @@ func (m *IDMethod) MergeShortLists() error {
 				return tokens, nil
 			}
 		}
-		if cached, ok := m.knownTokens[doc]; ok {
+		if cached, ok := m.knownTokens.docs[doc]; ok {
 			return cached, nil
 		}
 		return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)

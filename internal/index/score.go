@@ -42,6 +42,7 @@ func NewScore(cfg Config) (*ScoreMethod, error) {
 func (m *ScoreMethod) initSnapshots() {
 	m.lists.enableCOW(m.retirePage)
 	m.fillExtra = func(s *snap) { s.lists = m.lists.snapshotView() }
+	m.stateExtra = m.fillState
 	m.publish()
 }
 

@@ -24,8 +24,6 @@ type ScoreThresholdMethod struct {
 	*base
 	short     *keyedList
 	listScore *listTable
-	// knownTokens caches terms of incrementally inserted documents.
-	knownTokens map[DocID][]string
 	// scoreDir is the score directory of the compressed long lists: the
 	// distinct build-time scores in descending order, shared by every list
 	// so each posting stores a small rank delta instead of a raw float64.
@@ -47,7 +45,7 @@ func NewScoreThreshold(cfg Config) (*ScoreThresholdMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &ScoreThresholdMethod{base: b, short: short, listScore: ls, knownTokens: map[DocID][]string{}}
+	m := &ScoreThresholdMethod{base: b, short: short, listScore: ls}
 	m.initSnapshots()
 	return m, nil
 }
@@ -63,6 +61,7 @@ func (m *ScoreThresholdMethod) initSnapshots() {
 		s.table = m.listScore.snapshotView()
 		s.scoreDir = m.scoreDir
 	}
+	m.stateExtra = m.fillState
 	m.publish()
 }
 
@@ -189,7 +188,7 @@ func (m *ScoreThresholdMethod) InsertDocument(doc DocID, tokens []string, score 
 		distinct = append(distinct, tw.term)
 	}
 	m.dict.AddDocumentTerms(distinct)
-	m.knownTokens[doc] = distinct
+	m.knownTokens.put(doc, distinct)
 	m.numDocs.Add(1)
 	return m.listScore.Put(doc, listEntry{Key: score, InShortList: true})
 }
@@ -226,7 +225,7 @@ func (m *ScoreThresholdMethod) DeleteDocument(doc DocID) error {
 	if err := m.listScore.Put(doc, listEntry{Key: key, InShortList: false}); err != nil {
 		return err
 	}
-	delete(m.knownTokens, doc)
+	m.knownTokens.drop(doc)
 	m.numDocs.Add(-1)
 	return nil
 }
@@ -285,13 +284,13 @@ func (m *ScoreThresholdMethod) docTokens(doc DocID) ([]string, error) {
 	if m.src != nil {
 		if tokens, err := m.src.Tokens(doc); err == nil {
 			return tokens, nil
-		} else if cached, ok := m.knownTokens[doc]; ok {
+		} else if cached, ok := m.knownTokens.docs[doc]; ok {
 			return cached, nil
 		} else {
 			return nil, err
 		}
 	}
-	if cached, ok := m.knownTokens[doc]; ok {
+	if cached, ok := m.knownTokens.docs[doc]; ok {
 		return cached, nil
 	}
 	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)

@@ -401,11 +401,12 @@ func (b *EngineBackend) Stats(ctx context.Context) (map[string]any, error) {
 			"bytes_written": fs.BytesWritten,
 		},
 		"durability": map[string]any{
-			"commits":    fs.Commits,
-			"wal_bytes":  fs.WALBytes,
-			"fsyncs":     fs.Fsyncs,
-			"recoveries": fs.Recoveries,
-			"torn_pages": fs.TornPages,
+			"commits":       fs.Commits,
+			"wal_bytes":     fs.WALBytes,
+			"catalog_bytes": e.CatalogBytes(),
+			"fsyncs":        fs.Fsyncs,
+			"recoveries":    fs.Recoveries,
+			"torn_pages":    fs.TornPages,
 		},
 	}, nil
 }

@@ -344,3 +344,43 @@ func TestRecoveryCountsTornWAL(t *testing.T) {
 		t.Error("TornPages counter not bumped by torn WAL tail")
 	}
 }
+
+// TestWALRecordTrimsTrailingZeros pins the sparse image encoding: a record
+// stores each page image without its trailing zeros, decodes back to the
+// full zero-filled images, and rejects every cut of itself.
+func TestWALRecordTrimsTrailingZeros(t *testing.T) {
+	const pageSize = 512
+	f := &diskFile{pageSize: pageSize}
+	full := bytes.Repeat([]byte{0xA5}, pageSize)
+	half := make([]byte, pageSize)
+	copy(half, full[:200])
+	half[100] = 0 // an interior zero is kept
+	link := make([]byte, pageSize)
+	copy(link, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	rec := &walRecord{
+		header: header{pageSize: pageSize, nPages: 9, freeHead: 4, freeCount: 1, lsn: 7, meta: []byte("root")},
+		pages:  []PageID{2, 3, 4, 5},
+		images: [][]byte{full, half, link, make([]byte, pageSize)},
+	}
+	buf := f.encodeWALRecord(rec)
+	if want := 52 + 4 + 4*12 + pageSize + 200 + 16 + 0 + 4; len(buf) != want {
+		t.Fatalf("record is %d bytes, want %d", len(buf), want)
+	}
+	got, n, err := decodeWALRecord(buf, pageSize)
+	if err != nil || n != len(buf) {
+		t.Fatalf("decode: n=%d err=%v", n, err)
+	}
+	if got.lsn != 7 || got.nPages != 9 || got.freeHead != 4 || !bytes.Equal(got.meta, []byte("root")) {
+		t.Errorf("decoded header = %+v", got.header)
+	}
+	for i, img := range rec.images {
+		if got.pages[i] != rec.pages[i] || !bytes.Equal(got.images[i], img) {
+			t.Errorf("image %d (page %d) does not round-trip", i, rec.pages[i])
+		}
+	}
+	for cut := 1; cut < len(buf); cut++ {
+		if rec, _, err := decodeWALRecord(buf[:cut], pageSize); err == nil || rec != nil {
+			t.Fatalf("record cut to %d of %d bytes decoded", cut, len(buf))
+		}
+	}
+}

@@ -35,7 +35,7 @@ const metaMax = 256
 
 var (
 	headerMagic = [8]byte{'S', 'V', 'R', 'D', 'B', 'P', 'F', '1'}
-	walMagic    = uint64(0x53565257414c3031) // "SVRWAL01"
+	walMagic    = uint64(0x53565257414c3032) // "SVRWAL02"
 	// freePageMagic stamps the first 8 bytes of an on-disk free-list chain
 	// page so that a corrupted chain is detected instead of walked blindly.
 	freePageMagic = uint64(0x5356524652454531) // "SVRFREE1"
@@ -302,8 +302,12 @@ func (f *diskFile) pageOffset(id PageID) int64 {
 //	        not strand the replay without the geometry it needs)
 //	[44:48] meta length
 //	[48:52] page image count
-//	[52:...] meta bytes, then count × ([8 page ID][pageSize image])
+//	[52:...] meta bytes, then count × ([8 page ID][4 length n][n image bytes])
 //	[...:+4] CRC32-C over everything above
+//
+// An image is stored without its trailing zero bytes (n ≤ page size) and
+// replayed zero-filled: a freed page carries only its 16-byte free-list
+// link, and a partly filled tree or catalog page only its used prefix.
 type walRecord struct {
 	header
 	pages  []PageID
@@ -311,7 +315,12 @@ type walRecord struct {
 }
 
 func (f *diskFile) encodeWALRecord(rec *walRecord) []byte {
-	size := 52 + len(rec.meta) + len(rec.pages)*(8+f.pageSize) + 4
+	images := make([][]byte, len(rec.images))
+	size := 52 + len(rec.meta) + 4
+	for i, img := range rec.images {
+		images[i] = trimZeros(img[:f.pageSize])
+		size += 12 + len(images[i])
+	}
 	buf := make([]byte, 0, size)
 	var scratch [8]byte
 	put64 := func(v uint64) {
@@ -333,10 +342,23 @@ func (f *diskFile) encodeWALRecord(rec *walRecord) []byte {
 	buf = append(buf, rec.meta...)
 	for i, id := range rec.pages {
 		put64(uint64(id))
-		buf = append(buf, rec.images[i][:f.pageSize]...)
+		put32(uint32(len(images[i])))
+		buf = append(buf, images[i]...)
 	}
 	put32(crc32.Checksum(buf, crcTable))
 	return buf
+}
+
+// trimZeros returns b without its trailing zero bytes.
+func trimZeros(b []byte) []byte {
+	n := len(b)
+	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return b[:n]
 }
 
 // decodeWALRecord parses one record from buf, returning it and the bytes
@@ -369,7 +391,20 @@ func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
 	if metaLen > metaMax {
 		return nil, 0, fmt.Errorf("%w: WAL meta length %d", ErrCorrupt, metaLen)
 	}
-	total := 52 + int(metaLen) + int(count)*(8+pageSize) + 4
+	// Walk the image lengths to find the record's end, then verify the
+	// checksum before allocating anything.
+	total := 52 + int(metaLen)
+	for i := uint32(0); i < count; i++ {
+		if len(buf) < total+12 {
+			return nil, 0, fmt.Errorf("%w: torn WAL record (image %d of %d cut short)", ErrCorrupt, i, count)
+		}
+		n := int(binary.LittleEndian.Uint32(buf[total+8 : total+12]))
+		if n > pageSize {
+			return nil, 0, fmt.Errorf("%w: WAL image of %d bytes exceeds page size %d", ErrCorrupt, n, pageSize)
+		}
+		total += 12 + n
+	}
+	total += 4
 	if len(buf) < total {
 		return nil, 0, fmt.Errorf("%w: torn WAL record (%d of %d bytes)", ErrCorrupt, len(buf), total)
 	}
@@ -392,10 +427,13 @@ func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
 	off := 52 + int(metaLen)
 	for i := uint32(0); i < count; i++ {
 		id := PageID(binary.LittleEndian.Uint64(buf[off : off+8]))
-		off += 8
+		n := int(binary.LittleEndian.Uint32(buf[off+8 : off+12]))
+		off += 12
+		img := make([]byte, pageSize)
+		copy(img, buf[off:off+n])
 		rec.pages = append(rec.pages, id)
-		rec.images = append(rec.images, buf[off:off+pageSize])
-		off += pageSize
+		rec.images = append(rec.images, img)
+		off += n
 	}
 	return rec, total, nil
 }

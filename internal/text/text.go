@@ -100,9 +100,10 @@ type Dictionary struct {
 	ids     map[string]TermID
 	terms   []string
 	docFreq []int64
-	// gen counts document-frequency mutations, letting snapshot publishers
-	// skip the O(vocabulary) frequency copy when nothing changed (e.g. a
-	// score-only batch).
+	// gen counts mutations (new terms and document-frequency changes),
+	// letting snapshot publishers skip the O(vocabulary) frequency copy and
+	// checkpoints skip re-persisting the dictionary when nothing changed
+	// (e.g. a score-only batch).
 	gen uint64
 }
 
@@ -122,6 +123,7 @@ func (d *Dictionary) Intern(term string) TermID {
 	d.ids[term] = id
 	d.terms = append(d.terms, term)
 	d.docFreq = append(d.docFreq, 0)
+	d.gen++
 	return id
 }
 
@@ -174,8 +176,8 @@ func (d *Dictionary) RemoveDocumentTerms(distinct []string) {
 	}
 }
 
-// Gen returns the document-frequency mutation counter; equal values mean the
-// frequency vector has not changed between observations.
+// Gen returns the mutation counter; equal values mean neither the terms nor
+// the frequency vector changed between observations.
 func (d *Dictionary) Gen() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
